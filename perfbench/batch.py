@@ -4,11 +4,14 @@ scheduler with ``WORKERS`` pool workers, timed from outside."""
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from common import WORKERS, median, reap_workers, tail
+from common import WORKERS, HostSpeed, median, reap_workers, tail
 
-#: a verdict later than this after its sweep started does not count as goodput.
+#: a verdict later than this after its sweep started does not count as
+#: goodput.  A run's sweep lasts about 20 s, so every verdict meets it and
+#: a batch's ``goodput_per_s`` equals its ``jobs_per_s``: it would move
+#: only if a sweep took three times as long.
 LATENCY_LIMIT_S = 60.0
 
 
@@ -21,41 +24,37 @@ def warm_pool() -> None:
     reap_workers()
 
 
-def run_jobs(jobs: Sequence, cache_dirs: Optional[Callable[[], str]]
-             ) -> Tuple[List, float, List[float]]:
-    """Run ``jobs`` in sweeps of distinct jobs, each sweep on a fresh cache
-    directory from ``cache_dirs`` (None = no cache).  Returns the results
-    in input order, the wall time of all sweeps, and each verdict's
-    latency: every job of a sweep is requested when the sweep starts, so
-    a verdict's latency is the time from then until the scheduler
-    records it."""
+def run_jobs(jobs: Sequence, cache_dir: Optional[str]
+             ) -> Tuple[List, float, float, List[float]]:
+    """Run ``jobs`` (no two alike) as one sweep, on ``cache_dir`` (None =
+    no cache).  Returns the results in input order, the sweep's start
+    and end, and when the scheduler recorded each verdict (monotonic
+    times).  Every job is requested when the sweep starts, so a
+    verdict's latency runs from the start to its record."""
     from repro.campaign import CampaignConfig, CampaignScheduler
 
-    sweeps: List[List] = [[]]
-    ids = set()
-    for job in jobs:
-        if job.job_id in ids:
-            sweeps.append([])
-            ids.clear()
-        ids.add(job.job_id)
-        sweeps[-1].append(job)
-    results: List = []
-    latencies: List[float] = []
-    wall = 0.0
-    for sweep in sweeps:
-        config = CampaignConfig(jobs=WORKERS, cache_dir=cache_dirs() if cache_dirs else None)
-        t0 = time.perf_counter()
-        results.extend(CampaignScheduler(config).run(
-            sweep, on_result=lambda r: latencies.append(time.perf_counter() - t0)))
-        wall += time.perf_counter() - t0
-        reap_workers()
-    return results, wall, latencies
+    recorded: List[float] = []
+    config = CampaignConfig(jobs=WORKERS, cache_dir=cache_dir)
+    t0 = time.monotonic()
+    results = CampaignScheduler(config).run(
+        jobs, on_result=lambda r: recorded.append(time.monotonic()))
+    t1 = time.monotonic()
+    reap_workers()
+    return results, t0, t1, recorded
 
 
-def end_to_end(results: Sequence, wall: float, latencies: Sequence[float],
-               setup_s: float, peak_rss_mb: float) -> dict:
+def end_to_end(results: Sequence, t0: float, t1: float, recorded: Sequence[float],
+               setup_s: float, peak_rss_mb: float, host: HostSpeed) -> dict:
+    """The batch's metrics on the reference-speed clock; the measured
+    values are printed."""
+    wall = host.reference_seconds(t0, t1)
+    latencies = [host.reference_seconds(t0, t) for t in recorded]
+    raw = [t - t0 for t in recorded]
     tail_s, q, beyond = tail(latencies)
-    print(f"latency_tail_s is p{q:g} of {len(latencies)} verdicts ({beyond} beyond it)")
+    print(f"latency_tail_s is p{q:g} of {len(latencies)} verdicts ({beyond} beyond it); "
+          f"slowest {max(latencies):.3f} s")
+    print(f"unscaled: jobs_per_s={len(results) / (t1 - t0):.6g}, "
+          f"latency_p50_s={median(raw):.6g}, latency_tail_s={tail(raw)[0]:.6g}")
     return {
         "setup_s": setup_s,
         "jobs_per_s": len(results) / wall,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
 import multiprocessing
 import os
 import resource
@@ -9,6 +11,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -20,7 +23,7 @@ SRC = os.path.join(ROOT, "src")
 WORKERS = 2
 
 #: set-up is timed this many times per run; the median is ``setup_s``.
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 
 
 def require_sources() -> None:
@@ -160,6 +163,86 @@ def cpu_seconds() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF)
     kids = resource.getrusage(resource.RUSAGE_CHILDREN)
     return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+
+
+def _calibration_loop(n: int = 5_000) -> int:
+    """A fixed pure-Python workload of dictionary, list, string and
+    integer operations, like the interpreter loops of the checker."""
+    table: Dict[int, int] = {}
+    items: List[str] = []
+    acc = 0
+    for i in range(n):
+        key = (i * 7919) & 1023
+        table[key] = table.get(key, 0) + i
+        items.append(str(i))
+        acc += len(items[-1]) + table[key].bit_length()
+    return acc
+
+
+#: the host speed (calibration rounds/s) that CPU-bound metrics are
+#: scaled to.  Fixed for good: changing it rescales every recorded figure.
+REFERENCE_SPEED = 300.0
+
+
+class HostSpeed:
+    """``hostspeed.py`` as a subprocess for the length of a run, and a
+    clock that runs at the reference speed.
+
+    The samples are evenly spread in time, so the mean rate over an
+    interval is the speed CPU-bound work ran at on average: work that
+    took ``T`` seconds at mean speed ``v`` takes ``T * v /
+    REFERENCE_SPEED`` at the reference speed."""
+
+    def __init__(self):
+        self.samples: List[list] = []
+        self.windows: Dict[str, Tuple[float, float]] = {}
+        self.proc = subprocess.Popen([sys.executable, os.path.join(HERE, "hostspeed.py")],
+                                     cwd=ROOT, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     text=True)
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
+
+    def _read(self) -> None:
+        for line in self.proc.stdout:
+            self.samples.append(json.loads(line))
+
+    def stop(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait(timeout=30)
+        self._reader.join(timeout=30)
+        self.proc.stdout.close()
+
+    @contextlib.contextmanager
+    def window(self, name: str):
+        """Record when the enclosed part of the run started and ended."""
+        t0 = time.monotonic()
+        try:
+            yield
+        finally:
+            self.windows[name] = (t0, time.monotonic())
+
+    def speed(self, t0: float, t1: float) -> Tuple[float, int]:
+        """Mean rounds per second between monotonic times ``t0`` and
+        ``t1`` (over the whole run when no sample falls between), and
+        how many samples that took."""
+        samples = list(self.samples)
+        rates = [1.0 / s for t, _, s in samples if t0 <= t <= t1 and s > 0]
+        if not rates:
+            rates = [1.0 / s for _, _, s in samples if s > 0]
+        return (statistics.fmean(rates) if rates else REFERENCE_SPEED), len(rates)
+
+    def reference_seconds(self, t0: float, t1: float) -> float:
+        """The interval ``t0..t1`` on the reference-speed clock."""
+        return (t1 - t0) * self.speed(t0, t1)[0] / REFERENCE_SPEED
+
+    def scale(self, window: str) -> float:
+        """Reference seconds per measured second during ``window``."""
+        return self.speed(*self.windows[window])[0] / REFERENCE_SPEED
+
+    def report(self) -> None:
+        for name, (t0, t1) in self.windows.items():
+            rate, n = self.speed(t0, t1)
+            print(f"host speed during {name}: {rate:.1f} calibration rounds/s ({n} samples)")
 
 
 def time_setup(args: List[str], repeats: int = SETUP_REPEATS) -> Tuple[float, List[float]]:

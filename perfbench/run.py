@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import json
 import os
 import sys
@@ -28,8 +27,8 @@ import fuzzbatch
 import layers
 import servemix
 import table1
-from common import (ROOT, SETUP_REPEATS, cleanup, failed, peak_child_rss_mb, require_sources,
-                    time_setup, workdir)
+from common import (ROOT, SETUP_REPEATS, HostSpeed, cleanup, failed, peak_child_rss_mb,
+                    require_sources, time_setup, workdir)
 
 WORKLOADS = ("table1-cold", "fuzz-lazy-certified", "serve-mixed")
 
@@ -107,16 +106,20 @@ def print_split(doc: dict) -> None:
 
 # -- batch workloads ---------------------------------------------------------------------
 
-def run_batch(name: str, seed: int, seconds: float, trace: bool):
+def run_batch(name: str, seed: int, seconds: float, trace: bool, host: HostSpeed):
     mod = {"table1-cold": table1, "fuzz-lazy-certified": fuzzbatch}[name]
-    counter = itertools.count()
-    caches = (lambda: workdir(f"cache{next(counter)}")) if mod.USES_CACHE else None
-    results, wall, latencies = batch.run_jobs(mod.build_jobs(seed, seconds), caches)
+    jobs = mod.build_jobs(seed, seconds)
+    with host.window("timed pass"):
+        results, t0, t1, recorded = batch.run_jobs(
+            jobs, workdir("cache") if mod.USES_CACHE else None)
     passes = [results]
     if trace:
         span_dir = workdir("spans")
         layers.install(span_dir)
-        traced, traced_wall, _ = batch.run_jobs(mod.build_jobs(seed, seconds), caches)
+        jobs = mod.build_jobs(seed, seconds)
+        with host.window("traced pass"):
+            traced, traced_t0, traced_t1, _ = batch.run_jobs(
+                jobs, workdir("cache-traced") if mod.USES_CACHE else None)
         passes.append(traced)
         doc = layers.collect(span_dir)
         print_split(doc)
@@ -125,14 +128,17 @@ def run_batch(name: str, seed: int, seconds: float, trace: bool):
             "hit_latency_p50_s": 0.0, "miss_latency_p50_s": 0.0, "swarm_latency_p50_s": 0.0,
             "serve.http_s": 0.0, "serve.engine_wait_s": 0.0, "serve.rejected": 0,
             "bench.generator_lag_s": 0.0,
-            "bench.trace_overhead": traced_wall / wall,
+            "bench.trace_overhead": (host.reference_seconds(traced_t0, traced_t1)
+                                     / host.reference_seconds(t0, t1)),
         })
     else:
         peak_mb = peak_child_rss_mb()
-        setup_s, samples = time_setup([os.path.join("perfbench", "probe.py"), name,
-                                       str(seed), str(seconds)])
-        print("setup samples (s): " + ", ".join(f"{x:.4f}" for x in samples))
-        metrics = batch.end_to_end(results, wall, latencies, setup_s, peak_mb)
+        with host.window("set-up"):
+            setup_s, samples = time_setup([os.path.join("perfbench", "probe.py"), name,
+                                           str(seed), str(seconds)])
+        print("setup samples (s, unscaled): " + ", ".join(f"{x:.4f}" for x in samples))
+        metrics = batch.end_to_end(results, t0, t1, recorded,
+                                   setup_s * host.scale("set-up"), peak_mb, host)
     all_results = [r for p in passes for r in p]
     wrong = sum(mod.wrong_verdicts(p) for p in passes)
     oracles = {"verdicts_checked": len(all_results)}
@@ -145,19 +151,24 @@ def run_batch(name: str, seed: int, seconds: float, trace: bool):
 
 # -- serve -------------------------------------------------------------------------------
 
-def run_serve(seed: int, seconds: float, trace: bool):
+def run_serve(seed: int, seconds: float, trace: bool, host: HostSpeed):
     schedule = servemix.build_schedule(seed, seconds)
     if not trace:
-        records, _ = servemix.run_pass(schedule, workdir("serve"))
+        with host.window("timed pass"):
+            records, _ = servemix.run_pass(schedule, workdir("serve"))
         peak_mb = peak_child_rss_mb()
-        setup_s, samples = servemix.time_setup(SETUP_REPEATS)
-        print("setup samples (s): " + ", ".join(f"{x:.4f}" for x in samples))
-        metrics = servemix.end_to_end(records, setup_s, peak_mb)
+        with host.window("set-up"):
+            setup_s, samples = servemix.time_setup(SETUP_REPEATS)
+        print("setup samples (s, unscaled): " + ", ".join(f"{x:.4f}" for x in samples))
+        metrics = servemix.end_to_end(records, setup_s * host.scale("set-up"), peak_mb,
+                                      host.scale("timed pass"))
         passes = [records]
     else:
-        records, cpu = servemix.run_pass(schedule, workdir("serve"))
+        with host.window("timed pass"):
+            records, cpu = servemix.run_pass(schedule, workdir("serve"))
         span_dir = workdir("spans")
-        traced, traced_cpu = servemix.run_pass(schedule, workdir("serve-traced"), span_dir)
+        with host.window("traced pass"):
+            traced, traced_cpu = servemix.run_pass(schedule, workdir("serve-traced"), span_dir)
         doc = layers.merge(layers.read_dir(span_dir))
         print_split(doc)
         metrics = layer_metrics(doc)
@@ -167,7 +178,9 @@ def run_serve(seed: int, seconds: float, trace: bool):
         untraced = servemix.client_layers(records, 0.0)
         for kind in ("hit", "miss", "swarm"):
             metrics[f"{kind}_latency_p50_s"] = untraced[f"{kind}_latency_p50_s"]
-        metrics["bench.trace_overhead"] = traced_cpu / cpu
+        # CPU seconds, each pass's at the host speed it ran at
+        metrics["bench.trace_overhead"] = (traced_cpu * host.scale("traced pass")
+                                           / (cpu * host.scale("timed pass")))
         passes = [records, traced]
     all_records = [r for p in passes for r in p]
     oracles = {"verdicts_checked": sum(1 for r in all_records if servemix.ok(r)),
@@ -190,14 +203,18 @@ def main(argv=None) -> int:
     # the campaign runtime's cancellation tokens go to the temp directory:
     # keep them, like every other file, inside the checkout
     os.environ["TMPDIR"] = workdir("tmp")
+    host = HostSpeed()
     try:
         if args.workload == "serve-mixed":
-            values, attempted, nfailed, wrong, oracles = run_serve(args.seed, args.seconds, trace)
+            values, attempted, nfailed, wrong, oracles = run_serve(
+                args.seed, args.seconds, trace, host)
         else:
             values, attempted, nfailed, wrong, oracles = run_batch(
-                args.workload, args.seed, args.seconds, trace)
+                args.workload, args.seed, args.seconds, trace, host)
     finally:
+        host.stop()
         cleanup()
+    host.report()
     values["bench.failed_share"] = nfailed / attempted
     values["bench.wrong_verdicts"] = wrong
     print("oracles: " + json.dumps(oracles, sort_keys=True))

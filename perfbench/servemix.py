@@ -22,6 +22,16 @@ block of ``BLOCK_LEN`` requests has the same mix:
 * ``swarm``: ``POST /v1/swarm`` with 8 lazy tiles at K=3 over a salted
   ``increment-chain.kp`` or ``loop-safe.kp``, alternately.
 
+The mix was chosen, not measured from real traffic; no traffic log of
+this service exists to measure it from.  Each share has a reason:
+fresh jobs are half the traffic because the miss path (check, cache
+write, journal) is the service's main work; repeats are 30% so a run
+has enough cache hits (36 at 20 s) for a steady hit median; race jobs
+(15%) are the heaviest single jobs a client sends and set the tail;
+one swarm in 20 gives a run six swarm latencies, and more would make
+the eight-tile fan-out most of the server's load instead of one part of
+it.
+
 Corpus programs and imca fields are dealt from decks reshuffled per
 seed, so every run of one size has nearly the same mix of costs; the
 slowest requests (race jobs and swarms) set the tail, so their mix is
@@ -51,9 +61,15 @@ from urllib.parse import quote
 from common import (HERE, ROOT, WORKERS, child_env, cpu_seconds, descendants,
                     median, salt, tail, wait_gone, workdir)
 
-#: requests per second (well below what 2 workers sustain).
+#: requests per second.  ``saturation.py`` (the same mix, closed-loop,
+#: 2 connections) completed 14.7, 15.8 and 16.4 requests/s on seeds
+#: 1-3 at 20 s on a 2-vCPU host, so this rate keeps the server and the
+#: client at about 38% of what they can sustain.
 RATE = 6.0
-#: a verdict slower than this does not count as goodput.
+#: a verdict slower than this does not count as goodput.  At ``RATE``
+#: every verdict arrives well within it (the slowest in 0.5-0.7 s), so
+#: ``goodput_per_s`` equals ``jobs_per_s`` until a change pushes
+#: verdicts past the limit.
 LATENCY_LIMIT_S = 1.0
 #: one block of the traffic mix: the slow kinds sit at fixed, evenly
 #: spaced slots, so how often they overlap does not depend on the seed;
@@ -332,17 +348,28 @@ def kind_latencies(records: List[dict]) -> Dict[str, List[float]]:
     return out
 
 
-def end_to_end(records: List[dict], setup_s: float, peak_rss_mb: float) -> dict:
+def end_to_end(records: List[dict], setup_s: float, peak_rss_mb: float,
+               speed_scale: float) -> dict:
+    """``jobs_per_s`` is verdicts over the schedule's span, so below
+    saturation it follows the offered ``RATE``; it drops only when the
+    server falls behind.  ``latency_tail_s`` is multiplied by
+    ``speed_scale`` (reference seconds per measured second during the
+    pass): the slowest tenth are race jobs and swarms, hundreds of
+    milliseconds of checking.  The median request is a cache miss that
+    mostly waits for the engine's 50 ms poll, which no host speed
+    changes, so ``latency_p50_s`` is left as measured."""
     done = [r for r in records if ok(r)]
     lat = [r["latency_s"] for r in done]
     span = max(r["end"] for r in done) - min(r["due"] for r in records)
     tail_s, q, beyond = tail(lat)
-    print(f"latency_tail_s is p{q:g} of {len(lat)} requests ({beyond} beyond it)")
+    print(f"latency_tail_s is p{q:g} of {len(lat)} requests ({beyond} beyond it); "
+          f"slowest {max(lat):.3f} s")
+    print(f"unscaled: latency_tail_s={tail_s:.6g}")
     return {
         "setup_s": setup_s,
         "jobs_per_s": len(done) / span,
         "latency_p50_s": median(lat),
-        "latency_tail_s": tail_s,
+        "latency_tail_s": tail_s * speed_scale,
         "goodput_per_s": sum(1 for x in lat if x <= LATENCY_LIMIT_S) / span,
         "peak_rss_mb": peak_rss_mb,
     }

@@ -1,14 +1,14 @@
 """``table1-cold``: race jobs on the Table 1 drivers through the campaign
-engine, each sweep on a fresh cache directory.
+engine, on a fresh cache directory.
 
 The job matrix is every device-extension field of ten drivers whose
 fields each check in about a second or less.  A run checks
-``JOBS_PER_S * seconds`` of them.  Their order comes from the seed, and
-it is stratified by driver and expected verdict: every prefix holds the
-same share of each driver's racy, clean and unresolved fields.  Job
-costs vary mostly between those classes, so the work in a run barely
-depends on the seed.  A run that asks for more jobs than the
-matrix holds starts a new sweep on a new cache directory.
+``JOBS_PER_S * seconds`` of them, at most the whole matrix (one sweep:
+142 jobs, about 40 s of work), so no job repeats within a run.  Their
+order comes from the seed, and it is stratified by driver and expected
+verdict: every prefix holds the same share of each driver's racy, clean
+and unresolved fields.  Job costs vary mostly between those classes, so
+the work in a run barely depends on the seed.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ DRIVERS = ("tracedrv", "moufiltr", "kbfiltr", "imca", "startio", "toaster/toastm
 JOBS_PER_S = 3.5
 
 
-def job_count(seconds: float) -> int:
-    return max(4, round(JOBS_PER_S * seconds))
+def job_count(seconds: float, matrix: int) -> int:
+    return min(matrix, max(4, round(JOBS_PER_S * seconds)))
 
 
 def build_jobs(seed: int, seconds: float) -> List:
@@ -37,22 +37,16 @@ def build_jobs(seed: int, seconds: float) -> List:
     strata: Dict[tuple, List] = {}
     for job in corpus_jobs(specs):
         strata.setdefault((job.driver, expected[job.job_id]), []).append(job)
-    want = job_count(seconds)
-    jobs: List = []
-    sweep = 0
-    while len(jobs) < want:
-        rng = random.Random(f"table1:{seed}:{sweep}")
-        keyed = []
-        for stratum in sorted(strata):
-            members = strata[stratum][:]
-            rng.shuffle(members)
-            offset = rng.random()
-            keyed += [((i + offset) / len(members), stratum, job)
-                      for i, job in enumerate(members)]
-        keyed.sort(key=lambda t: (t[0], t[1]))
-        jobs += [job for _, _, job in keyed[: want - len(jobs)]]
-        sweep += 1
-    return jobs
+    rng = random.Random(f"table1:{seed}:0")
+    keyed = []
+    for stratum in sorted(strata):
+        members = strata[stratum][:]
+        rng.shuffle(members)
+        offset = rng.random()
+        keyed += [((i + offset) / len(members), stratum, job)
+                  for i, job in enumerate(members)]
+    keyed.sort(key=lambda t: (t[0], t[1]))
+    return [job for _, _, job in keyed[: job_count(seconds, len(keyed))]]
 
 
 def expected_verdicts() -> Dict[str, str]:

@@ -3,7 +3,9 @@
 Runs every workload untraced and traced at the smallest size and checks
 that the output names match ``BENCHMARK.json``, that every oracle ran,
 that the traced runs saw a span for every layer (except those listed in
-``CANNOT_SEE``), and that the exact counts repeat for one seed.
+``CANNOT_SEE``), that the host's speed was sampled, that a long
+``table1-cold`` run checks no field twice, and that the exact counts
+repeat for one seed.
 
     python3 -m pytest -q perfbench/test_selftest.py
 """
@@ -73,6 +75,7 @@ def run(workload: str, trace: int, seed: int = 7):
     lines = proc.stdout.strip().splitlines()
     oracles = next(json.loads(line.split(":", 1)[1]) for line in lines
                    if line.startswith("oracles:"))
+    assert any(line.startswith("host speed during timed pass:") for line in lines)
     return json.loads(lines[-1]), oracles
 
 
@@ -116,6 +119,14 @@ def test_every_layer_is_seen_somewhere():
              if m["unit"] == "s" and not m["name"].startswith("bench.")}
     seen = set().union(*SEEN.values())
     assert sorted(timed - seen - set(CANNOT_SEE)) == []
+
+
+def test_table1_checks_each_field_once():
+    sys.path[:0] = [HERE, os.path.join(ROOT, "src")]
+    import table1
+
+    ids = [job.job_id for job in table1.build_jobs(7, 100)]
+    assert len(ids) == len(set(ids)) == len(table1.expected_verdicts())
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
