@@ -1,8 +1,8 @@
 """Samples the host's speed while a benchmark run goes on.
 
 Every ``PERIOD_S`` it times one round of ``common._calibration_loop`` in
-thread CPU time, on each core in turn; when its stdin closes it prints
-every sample as one JSON list of ``[monotonic time, core, seconds]``.
+thread CPU time, on each core in turn, and prints the sample as one JSON
+line ``[monotonic time, core, seconds]``; it stops when its stdin closes.
 A shared 2-core host runs the same fixed loop up to twice as fast at
 one moment as at another; these samples show which speed a run had.
 
