@@ -23,8 +23,9 @@ remains the source of verdict truth).
 Recovery (:func:`replay`) folds the log into a :class:`RecoveryPlan`:
 jobs whose latest state is non-terminal (``admitted``/``started``) or
 ``abandoned`` are re-enqueued; ``done`` and ``cancelled`` are settled.
-Terminal precedence is ``done > cancelled > abandoned`` so a hedged or
-raced duplicate can never demote a completed job.  Replay is idempotent:
+Terminal precedence is ``done > cancelled > abandoned`` so a late,
+weaker record (a second shutdown's ``abandoned``, a cancel that raced
+the completion) can never demote a completed job.  Replay is idempotent:
 a resumed run answers settled work from the result cache and writes
 fresh terminal records for the re-enqueued jobs, so a second resume
 finds nothing left to do.
@@ -48,7 +49,8 @@ from repro.schemas import JOURNAL_SCHEMA, validate_journal_record
 from .jobs import CheckJob
 
 #: terminal events, strongest first: a later weaker record never
-#: overrides an earlier stronger one (hedge losers, double shutdowns).
+#: overrides an earlier stronger one (double shutdowns, cancels that
+#: race a completion).
 _TERMINAL_RANK = {"done": 3, "cancelled": 2, "abandoned": 1}
 
 
@@ -119,7 +121,7 @@ class JobJournal:
 
     def _terminal(self, doc: dict) -> None:
         # only jobs this journal knows as open get terminal records:
-        # suppresses duplicates (hedge losers settle once) and keeps
+        # suppresses duplicates (a job settles once) and keeps
         # unjournaled flows (cache hits never admitted) out of the log.
         if not self.enabled or doc["job"] not in self._open:
             return

@@ -4,8 +4,10 @@
 jobs — the content-addressed result cache, the worker-pool lifecycle
 (lazy creation, rebuild after ``BrokenProcessPool``), windowed
 incremental submission, the bounded retry/degrade state machine, fault
-points, per-job telemetry, the write-ahead job journal, cooperative
-cancellation, and hedged retries.  It deliberately owns **no policy
+points, per-job telemetry, the write-ahead job journal, and cooperative
+cancellation.  It keeps exactly one live copy of each job: an attempt
+finishes, is retried, or is cancelled, and is never raced against a
+duplicate.  It deliberately owns **no policy
 about where jobs come from or when to stop**: those belong to the
 frontends.
 
@@ -29,8 +31,8 @@ frontend policy):
 2. :meth:`submit` queues a miss (and write-ahead journals it when a
    journal is configured);
 3. :meth:`pump` runs one engine step — (re)fill the bounded in-flight
-   window, hedge stragglers, wait briefly, collect completions, retry
-   or degrade — and returns the jobs that finished during the step;
+   window, wait briefly, collect completions, retry or degrade — and
+   returns the jobs that finished during the step;
 4. :meth:`record` persists a finished job (cache append + ``job_end``
    telemetry + the journal's terminal record);
 5. :meth:`drain_pending` degrades the not-yet-submitted backlog when
@@ -46,18 +48,12 @@ that replay as incomplete.
 
 **Cancellation** (:mod:`repro.cancel`): every dispatched attempt gets a
 sentinel-file :class:`~repro.cancel.CancelToken` the worker polls at
-backend iteration boundaries.  :meth:`request_cancel` targets one job
-(serve ``DELETE /v1/jobs/{id}``); :meth:`cancel_outstanding` sweeps
-everything (deadline, swarm first-error).  Cancelled jobs settle with
+backend iteration boundaries; a job holds one token at a time.
+:meth:`request_cancel` targets one job (serve ``DELETE
+/v1/jobs/{id}``); :meth:`cancel_outstanding` sweeps everything
+(deadline, swarm first-error).  Cancelled jobs settle with
 verdict ``"cancelled"`` — never cached, never retried, counted as
 interrupted.
-
-**Hedging** (``CampaignConfig.hedge``): the runtime keeps a bounded
-per-driver latency sample; when a primary attempt outlives the
-configured quantile of its driver's history, one duplicate is launched.
-First finisher wins and the twin is cancelled via its token; the settled
-bookkeeping guarantees a single recorded result and a single cache
-entry per job no matter which copy wins.
 
 ``jobs <= 1`` runs in-process (one job per :meth:`pump` call),
 preserving rich :class:`~repro.core.checker.KissResult` objects for API
@@ -69,11 +65,10 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import faults, obs
@@ -92,17 +87,6 @@ DEFAULT_CACHE_DIR = ".kiss-cache"
 #: before control returns to the frontend (signals and drain requests
 #: set flags; they must not have to race a long-blocking wait).
 POLL_S = 0.25
-
-#: Hedging needs this many completed samples for a driver before its
-#: latency quantile means anything.
-HEDGE_MIN_SAMPLES = 5
-
-#: Never hedge before a job has run at least this long — sub-50ms jobs
-#: finish before the duplicate could even start.
-HEDGE_MIN_CUTOFF_S = 0.05
-
-#: Bound on the per-driver latency sample (newest wins).
-HEDGE_SAMPLE_CAP = 64
 
 
 def default_jobs() -> int:
@@ -132,8 +116,6 @@ class CampaignConfig:
     (None = no injection, zero overhead).
     ``journal_path``: write-ahead job journal destination (None
     disables durability — see :mod:`repro.campaign.journal`).
-    ``hedge``: latency quantile in (0, 1) past which a straggler gets
-    one duplicate attempt (None disables hedging; pool mode only).
     """
 
     jobs: int = 1
@@ -145,7 +127,6 @@ class CampaignConfig:
     memory_limit: Optional[int] = None
     fault_plan: Optional[FaultPlan] = None
     journal_path: Optional[str] = None
-    hedge: Optional[float] = None
 
 
 #: One finished job as handed back by :meth:`CampaignRuntime.pump` /
@@ -155,14 +136,11 @@ Finished = Tuple[CheckJob, str, JobResult]
 
 @dataclass
 class _Flight:
-    """One dispatched pool attempt (primary or hedge duplicate)."""
+    """One dispatched pool attempt."""
 
     job: CheckJob
     key: str
     attempt: int
-    token: CancelToken
-    started: float
-    hedge: bool = False
 
 
 class CampaignRuntime:
@@ -188,18 +166,10 @@ class CampaignRuntime:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pending: Deque[Tuple[CheckJob, str, int]] = deque()
         self._futures: Dict[object, _Flight] = {}
-        #: job_id -> live futures for that job (1 normally, 2 hedged).
-        self._job_futs: Dict[str, List[object]] = {}
-        #: job_id -> live cancel tokens (cross-thread read-only).
-        self._tokens: Dict[str, List[CancelToken]] = {}
+        #: job_id -> the running attempt's cancel token (cross-thread read-only).
+        self._tokens: Dict[str, CancelToken] = {}
         #: job_id -> reason, for jobs cancelled before their next dispatch.
         self._cancel_asap: Dict[str, str] = {}
-        #: job_id -> in-flight copies still to drain after the job settled
-        #: (hedge losers, late duplicate completions) — their outcomes
-        #: are discarded so exactly one result is ever recorded.
-        self._settled: Dict[str, int] = {}
-        #: driver -> recent wall_s samples for the hedge quantile.
-        self._latency: Dict[str, Deque[float]] = {}
         self._cancel_dir: Optional[str] = None
         self._token_seq = 0
 
@@ -216,7 +186,7 @@ class CampaignRuntime:
 
     @property
     def inflight(self) -> int:
-        """Attempt copies currently running in pool workers."""
+        """Attempts currently running in pool workers."""
         return len(self._futures)
 
     @property
@@ -285,10 +255,9 @@ class CampaignRuntime:
         whole retry loop — one job per call, so the frontend regains
         control between jobs).  Pool mode tops up the bounded in-flight
         window (unless ``submit`` is False — a draining frontend stops
-        feeding the pool but keeps collecting), hedges stragglers, then
-        waits up to ``poll_s`` for completions and applies the
-        retry/degrade policy, rebuilding the pool when a worker death
-        breaks it.
+        feeding the pool but keeps collecting), then waits up to
+        ``poll_s`` for completions and applies the retry/degrade
+        policy, rebuilding the pool when a worker death breaks it.
         """
         if not self.pooled:
             return self._pump_serial(tel)
@@ -308,18 +277,18 @@ class CampaignRuntime:
 
     def request_cancel(self, job_id: str, reason: str = "") -> bool:
         """Cancel one job cooperatively: flag it for the next dispatch
-        and touch every live token so an in-flight attempt notices at
-        its next backend poll.  Safe to call from another thread (serve
+        and touch its live token so an in-flight attempt notices at its
+        next backend poll.  Safe to call from another thread (serve
         HTTP handlers) — only GIL-atomic writes and sentinel-file
         touches happen here.  Returns True when the job was pending or
         in flight."""
-        tokens = list(self._tokens.get(job_id, ()))
+        token = self._tokens.get(job_id)
         queued = any(j.job_id == job_id for j, _, _ in list(self._pending))
-        if not tokens and not queued:
+        if token is None and not queued:
             return False
         self._cancel_asap[job_id] = reason
-        for tok in tokens:
-            tok.cancel(reason)
+        if token is not None:
+            token.cancel(reason)
         return True
 
     def cancel_outstanding(self, reason: str = "",
@@ -335,10 +304,9 @@ class CampaignRuntime:
                 job, key, attempt = self._pending.popleft()
                 out.append((job, key, self._cancelled_result(
                     job, reason, attempts=max(0, attempt - 1))))
-        for job_id, tokens in list(self._tokens.items()):
+        for job_id, token in list(self._tokens.items()):
             self._cancel_asap[job_id] = reason
-            for tok in list(tokens):
-                tok.cancel(reason)
+            token.cancel(reason)
         return out
 
     def _new_token(self, job_id: str) -> CancelToken:
@@ -346,19 +314,13 @@ class CampaignRuntime:
             self._cancel_dir = tempfile.mkdtemp(prefix="kiss-cancel-")
         self._token_seq += 1
         token = CancelToken(os.path.join(self._cancel_dir, f"{self._token_seq}.cancel"))
-        self._tokens.setdefault(job_id, []).append(token)
+        self._tokens[job_id] = token
         return token
 
-    def _drop_token(self, job_id: str, token: CancelToken) -> None:
-        tokens = self._tokens.get(job_id)
-        if tokens is not None:
-            try:
-                tokens.remove(token)
-            except ValueError:
-                pass
-            if not tokens:
-                self._tokens.pop(job_id, None)
-        token.clear()
+    def _drop_token(self, job_id: str) -> None:
+        token = self._tokens.pop(job_id, None)
+        if token is not None:
+            token.clear()
 
     # -- shutdown ----------------------------------------------------------------
 
@@ -369,15 +331,10 @@ class CampaignRuntime:
         dangling as ``started`` (a later ``--resume`` re-enqueues
         exactly these jobs)."""
         if self.journal.enabled:
-            seen = set()
-            for flight in list(self._futures.values()):
-                if flight.job.job_id not in seen:
-                    seen.add(flight.job.job_id)
-                    self.journal.abandoned(flight.job.job_id, reason="shutdown")
-            for job, _, _ in list(self._pending):
-                if job.job_id not in seen:
-                    seen.add(job.job_id)
-                    self.journal.abandoned(job.job_id, reason="shutdown")
+            owed = ([f.job.job_id for f in list(self._futures.values())]
+                    + [job.job_id for job, _, _ in list(self._pending)])
+            for job_id in dict.fromkeys(owed):
+                self.journal.abandoned(job_id, reason="shutdown")
         self._teardown_pool()
         if self._cancel_dir is not None:
             shutil.rmtree(self._cancel_dir, ignore_errors=True)
@@ -465,69 +422,6 @@ class CampaignRuntime:
                  error_kind=result.error_kind, wall_s=wall_s, states=result.states,
                  cache=cache, attempts=attempts, **extra)
 
-    # -- hedging -----------------------------------------------------------------
-
-    def _note_latency(self, driver: str, result: JobResult) -> None:
-        if result.attempts < 1 or result.verdict == "cancelled":
-            return
-        samples = self._latency.get(driver)
-        if samples is None:
-            samples = self._latency[driver] = deque(maxlen=HEDGE_SAMPLE_CAP)
-        samples.append(result.wall_s)
-
-    def _hedge_cutoff(self, driver: str) -> Optional[float]:
-        """The straggler threshold for ``driver``: the configured
-        quantile of its recent completion latencies, or None while the
-        sample is too thin to trust."""
-        quantile = self.config.hedge
-        samples = self._latency.get(driver)
-        if quantile is None or samples is None or len(samples) < HEDGE_MIN_SAMPLES:
-            return None
-        ordered = sorted(samples)
-        idx = min(len(ordered) - 1, int(quantile * len(ordered)))
-        return max(ordered[idx], HEDGE_MIN_CUTOFF_S)
-
-    def _maybe_hedge(self, tel: Telemetry) -> None:
-        """Launch at most one duplicate per straggling primary attempt
-        (window capacity permitting).  The duplicate reuses the same
-        attempt number — it is the same logical attempt racing two
-        workers, not a retry."""
-        if self.config.hedge is None:
-            return
-        from .worker import pool_entry
-
-        window = self.config.jobs * 2
-        now = time.monotonic()
-        for fut, flight in list(self._futures.items()):
-            if len(self._futures) >= window:
-                break
-            job_id = flight.job.job_id
-            if flight.hedge or job_id in self._settled:
-                continue
-            if len(self._job_futs.get(job_id, ())) != 1:
-                continue  # already hedged
-            cutoff = self._hedge_cutoff(flight.job.driver)
-            if cutoff is None or (now - flight.started) < cutoff:
-                continue
-            token = self._new_token(job_id)
-            try:
-                hfut = self._ensure_pool().submit(
-                    pool_entry, flight.job, self.config.timeout,
-                    flight.attempt, token.path,
-                )
-            except Exception:
-                self._drop_token(job_id, token)
-                continue
-            self._futures[hfut] = _Flight(
-                job=flight.job, key=flight.key, attempt=flight.attempt,
-                token=token, started=now, hedge=True,
-            )
-            self._job_futs.setdefault(job_id, []).append(hfut)
-            obs.inc("jobs_hedged")
-            tel.emit("job_hedge", job=job_id, driver=flight.job.driver,
-                     elapsed_s=round(now - flight.started, 3),
-                     cutoff_s=round(cutoff, 3))
-
     # -- in-process execution (jobs <= 1) ----------------------------------------
 
     def _pump_serial(self, tel: Telemetry) -> List[Finished]:
@@ -551,20 +445,16 @@ class CampaignRuntime:
                     memory_limit=self.config.memory_limit,
                     cancel_path=token.path,
                 )
-                if outcome["verdict"] == "cancelled":
-                    break
                 if not self._retryable(outcome) or attempts > self.config.retries:
                     break
                 tel.emit("job_retry", job=job.job_id, attempt=attempts,
                          reason=outcome["detail"][:200])
         finally:
-            self._drop_token(job.job_id, token)
+            self._drop_token(job.job_id)
             self._cancel_asap.pop(job.job_id, None)
         if rich is not None:
             self.rich_results[job.job_id] = rich
-        result = self._result_from(job, self._degrade(outcome), attempts)
-        self._note_latency(job.driver, result)
-        return [(job, key, result)]
+        return [(job, key, self._result_from(job, self._degrade(outcome), attempts))]
 
     # -- pool execution (jobs > 1) -----------------------------------------------
 
@@ -599,32 +489,6 @@ class CampaignRuntime:
         except InjectedFault:
             return None
 
-    def _unregister(self, fut, flight: _Flight) -> None:
-        futs = self._job_futs.get(flight.job.job_id)
-        if futs is not None:
-            try:
-                futs.remove(fut)
-            except ValueError:
-                pass
-            if not futs:
-                self._job_futs.pop(flight.job.job_id, None)
-        self._drop_token(flight.job.job_id, flight.token)
-
-    def _settle_twins(self, tel: Telemetry, job_id: str) -> None:
-        """The job just settled with copies still in flight (a hedge
-        twin, or a doubly-cancelled pair): cancel them and arrange for
-        their eventual outcomes to be discarded."""
-        twins = self._job_futs.get(job_id, [])
-        if not twins:
-            return
-        self._settled[job_id] = len(twins)
-        for tfut in list(twins):
-            tflight = self._futures.get(tfut)
-            if tflight is not None:
-                tflight.token.cancel("hedge-loser")
-            tfut.cancel()
-            tel.emit("job_cancelled", job=job_id, reason="hedge-loser")
-
     def _pump_pool(self, tel: Telemetry, submit: bool, poll_s: float) -> List[Finished]:
         finished: List[Finished] = []
         if submit:
@@ -639,7 +503,7 @@ class CampaignRuntime:
                 token = self._new_token(job.job_id)
                 fut = self._submit_attempt(tel, job, attempt, token.path)
                 if fut is None:
-                    self._drop_token(job.job_id, token)
+                    self._drop_token(job.job_id)
                     crash = self._crash_outcome("crash: pool submission failed")
                     if attempt <= self.config.retries:
                         tel.emit("job_retry", job=job.job_id, attempt=attempt,
@@ -650,10 +514,7 @@ class CampaignRuntime:
                             (job, key, self._result_from(job, self._degrade(crash), attempt))
                         )
                     continue
-                self._futures[fut] = _Flight(job=job, key=key, attempt=attempt,
-                                             token=token, started=time.monotonic())
-                self._job_futs.setdefault(job.job_id, []).append(fut)
-            self._maybe_hedge(tel)
+                self._futures[fut] = _Flight(job=job, key=key, attempt=attempt)
         if not self._futures:
             return finished
         done, _ = wait(list(self._futures), return_when=FIRST_COMPLETED, timeout=poll_s)
@@ -662,26 +523,18 @@ class CampaignRuntime:
             if flight is None:  # discarded when the pool broke mid-step
                 continue
             job, key, attempt = flight.job, flight.key, flight.attempt
-            self._unregister(fut, flight)
+            self._drop_token(job.job_id)
             try:
                 outcome = fut.result()
             except BrokenProcessPool:
-                # The pool is dead: rebuild it, count the loss as an
-                # attempt for every in-flight job (hedged twins requeue
-                # once, settled jobs owe nothing).
+                # The pool is dead: rebuild it and count the loss as an
+                # attempt for every in-flight job.
                 lost = [flight] + list(self._futures.values())
                 self._futures.clear()
-                self._job_futs.clear()
                 for f in lost:
-                    self._drop_token(f.job.job_id, f.token)
+                    self._drop_token(f.job.job_id)
                 self._teardown_pool()
-                unique: Dict[str, _Flight] = {}
                 for f in lost:
-                    if f.job.job_id in self._settled:
-                        self._settled.pop(f.job.job_id, None)
-                        continue
-                    unique.setdefault(f.job.job_id, f)
-                for f in unique.values():
                     crash = self._crash_outcome("crash: worker process died")
                     if f.attempt > self.config.retries:
                         finished.append(
@@ -691,37 +544,15 @@ class CampaignRuntime:
                                  reason="worker process died")
                         self._pending.appendleft((f.job, f.key, f.attempt + 1))
                 break  # the futures set changed wholesale
-            except CancelledError:
-                # fut.cancel() won before the copy ever started
-                outcome = {"verdict": "cancelled", "error_kind": None,
-                           "wall_s": 0.0, "detail": "cancelled: hedge-loser"}
             except Exception as exc:  # pickling failures etc.
                 outcome = self._crash_outcome(f"crash: {exc!r}")
-            job_id = job.job_id
-            if job_id in self._settled:
-                # late copy of an already-settled job: outcome discarded
-                left = self._settled[job_id] - 1
-                if left <= 0:
-                    self._settled.pop(job_id, None)
-                else:
-                    self._settled[job_id] = left
-                continue
-            if outcome["verdict"] == "cancelled":
-                self._cancel_asap.pop(job_id, None)
-                finished.append((job, key, self._result_from(job, outcome, attempt)))
-                self._settle_twins(tel, job_id)
-                continue
+            # a cancelled outcome is neither retryable nor degraded
             if self._retryable(outcome) and attempt <= self.config.retries:
-                if self._job_futs.get(job_id):
-                    # the hedge twin is still racing: it *is* the retry
-                    continue
                 tel.emit("job_retry", job=job.job_id, attempt=attempt,
                          reason=outcome["detail"][:200])
                 self._pending.appendleft((job, key, attempt + 1))
                 continue
-            self._cancel_asap.pop(job_id, None)
+            self._cancel_asap.pop(job.job_id, None)
             result = self._result_from(job, self._degrade(outcome), attempt)
-            self._note_latency(job.driver, result)
             finished.append((job, key, result))
-            self._settle_twins(tel, job_id)
         return finished

@@ -174,17 +174,6 @@ def cmd_race(args) -> int:
     return _report(kiss.check_race(prog, _parse_target(args.target)), args)
 
 
-def _parse_hedge(text: Optional[str]) -> Optional[float]:
-    """``"p95"``/``"p99"``/``"0.9"`` → a latency quantile in (0, 1)."""
-    if text is None:
-        return None
-    raw = text[1:] if text.startswith("p") else None
-    q = (float(raw) / 100.0) if raw is not None else float(text)
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"hedge quantile must be in (0, 1): {text!r}")
-    return q
-
-
 def _resume_journal(config) -> None:
     """``--resume``: replay the write-ahead journal and run the jobs a
     crashed run still owed *before* the main campaign.  Settled work
@@ -222,8 +211,7 @@ def cmd_campaign(args) -> int:
     Durability (docs/ROBUSTNESS.md): `--journal PATH` records every
     job's admitted/started/terminal lifecycle write-ahead; after a
     crash (even kill -9), `--resume` replays the journal and re-runs
-    exactly the jobs still owed.  `--hedge p95` duplicates stragglers
-    past the per-driver latency quantile (first finisher wins).
+    exactly the jobs still owed.
 
     `--swarm FILE.kp` switches to swarm mode (docs/SWARM.md): one
     program expanded into `--tiles` schedule tiles of the lazy
@@ -253,7 +241,6 @@ def cmd_campaign(args) -> int:
         return EXIT_USAGE
     try:
         plan = FaultPlan.parse(args.inject, seed=args.inject_seed) if args.inject else None
-        hedge = _parse_hedge(args.hedge)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -271,7 +258,6 @@ def cmd_campaign(args) -> int:
         memory_limit=args.memory_limit,
         fault_plan=plan,
         journal_path=args.journal,
-        hedge=hedge,
     )
     if args.resume:
         _resume_journal(config)
@@ -319,7 +305,6 @@ def _swarm(args) -> int:
 
     try:
         plan = FaultPlan.parse(args.inject, seed=args.inject_seed) if args.inject else None
-        hedge = _parse_hedge(args.hedge)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -337,7 +322,6 @@ def _swarm(args) -> int:
         memory_limit=args.memory_limit,
         fault_plan=plan,
         journal_path=args.journal,
-        hedge=hedge,
     )
     if args.resume:
         _resume_journal(config)
@@ -495,7 +479,6 @@ def cmd_serve(args) -> int:
 
     try:
         plan = FaultPlan.parse(args.inject, seed=args.inject_seed) if args.inject else None
-        hedge = _parse_hedge(args.hedge)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -516,7 +499,6 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         journal_path=args.journal,
         resume=args.resume,
-        hedge=hedge,
     )
     # An ambient recorder so /stats surfaces the obs counters
     # (serve_submissions, cache hits, jobs_interrupted, ...).
@@ -881,10 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resume", action="store_true",
                     help="replay --journal first and re-run the jobs a crashed "
                          "run left incomplete (settled work answers from cache)")
-    sp.add_argument("--hedge", metavar="Q", default=None,
-                    help="hedged retries: duplicate a job stuck past this "
-                         "per-driver latency quantile (p95, p99, or 0.9); "
-                         "first finisher wins, the twin is cancelled")
     sp.add_argument("--swarm", metavar="FILE.kp", default=None,
                     help="swarm mode: tile FILE's lazy schedule space into "
                          "--tiles jobs instead of sweeping the driver corpus")
@@ -995,9 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resume", action="store_true",
                     help="on startup, replay --journal: answer settled work from "
                          "cache, re-enqueue the jobs a crash left incomplete")
-    sp.add_argument("--hedge", metavar="Q", default=None,
-                    help="hedged retries past this per-driver latency quantile "
-                         "(p95, p99, or 0.9)")
     sp.set_defaults(func=cmd_serve)
 
     sp = sub.add_parser("cache", help="inspect and maintain the result cache")

@@ -55,7 +55,7 @@ class BebopResult:
 # A path edge within a procedure:
 #   (g_in, l_in)  — valuation at procedure entry
 #   (pc, g, l)    — current point and valuation
-PathEdge = Tuple[Valuation, Valuation, int, Valuation, Valuation]
+Edge = Tuple[Valuation, Valuation, int, Valuation, Valuation]
 
 
 class BebopChecker:
@@ -101,21 +101,21 @@ class BebopChecker:
 
         # tabulated edges and back-pointers for trace rebuilding,
         # keyed by (proc, edge) — edge tuples alone are ambiguous across procs
-        edges: Set[Tuple[str, PathEdge]] = set()
+        edges: Set[Tuple[str, Edge]] = set()
         # parent[(proc, edge)] = ((proc', edge'), text) or ("call", ...) or ("root",)
-        parent: Dict[Tuple[str, PathEdge], Tuple] = {}
+        parent: Dict[Tuple[str, Edge], Tuple] = {}
         # summaries[proc][(g_in, l_in)] = set of (g_out, rets)
         summaries: Dict[str, Dict[Tuple[Valuation, Valuation], Set[Tuple[Valuation, Tuple[bool, ...]]]]] = {
             p: {} for p in prog.procs
         }
         # callers waiting on a summary: callers[(proc, g_in, l_in)] = list of (caller_edge, call_stmt)
-        waiting: Dict[Tuple[str, Valuation, Valuation], List[Tuple[str, PathEdge]]] = {}
+        waiting: Dict[Tuple[str, Valuation, Valuation], List[Tuple[str, Edge]]] = {}
         # entry contexts already seeded per proc
         seeded: Set[Tuple[str, Valuation, Valuation]] = set()
 
         work: deque = deque()
 
-        def add_edge(proc_name: str, e: PathEdge, via: Tuple) -> None:
+        def add_edge(proc_name: str, e: Edge, via: Tuple) -> None:
             key = (proc_name, e)
             if key in edges:
                 return
@@ -229,7 +229,7 @@ class BebopChecker:
         add_edge(caller_name, (g_in, l_in, pc + 1, g2, l2), ((caller_name, caller_edge), f"{stmt} [summary]"))
 
     @staticmethod
-    def _rebuild_trace(parent: Dict, key: Tuple[str, PathEdge]) -> List[Tuple[str, int, str]]:
+    def _rebuild_trace(parent: Dict, key: Tuple[str, Edge]) -> List[Tuple[str, int, str]]:
         # walk back-pointers within and across procedures; the trace lists
         # (proc, stmt-index, text) oldest-first.  Steps hidden inside
         # applied summaries are elided (the CEGAR loop re-derives precise

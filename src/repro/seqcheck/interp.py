@@ -220,9 +220,6 @@ class Freezer:
         return (globals_t, heap_t, stacks_t)
 
 
-_DEFAULT_FREEZER = Freezer()
-
-
 def canonical_freeze(store: Store, stacks: List[List[Frame]]) -> Tuple:
     """Hashable canonical form of a configuration (module-level helper;
     checkers hold their own :class:`Freezer` for key-order caching)."""

@@ -96,9 +96,6 @@ class Frame:
     def clone(self) -> "Frame":
         return Frame(self.func, self.node, dict(self.locals), self.frame_id)
 
-    def freeze(self) -> Tuple:
-        return (self.func, self.node, self.frame_id, tuple(sorted(self.locals.items(), key=lambda kv: kv[0])))
-
 
 class Store:
     """Globals + heap, shared by all threads."""
@@ -120,14 +117,6 @@ class Store:
     def clone(self) -> "Store":
         heap = {cid: (sname, dict(fields)) for cid, (sname, fields) in self.heap.items()}
         return Store(dict(self.globals), heap, self.alloc_count, self.frame_count)
-
-    def freeze(self) -> Tuple:
-        globals_t = tuple(sorted(self.globals.items(), key=lambda kv: kv[0]))
-        heap_t = tuple(
-            (cid, sname, tuple(sorted(fields.items(), key=lambda kv: kv[0])))
-            for cid, (sname, fields) in sorted(self.heap.items())
-        )
-        return (globals_t, heap_t, self.alloc_count, self.frame_count)
 
     # -- allocation -----------------------------------------------------------
 

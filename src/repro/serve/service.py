@@ -12,7 +12,9 @@ frontend has no use for:
   rejected with a retry hint, not queued without bound;
 * **bounded admission** — at most ``max_queue`` distinct jobs may be
   admitted-but-unfinished; past that, submission fails with
-  backpressure (HTTP 429) instead of growing an unbounded backlog;
+  backpressure (HTTP 429) instead of growing an unbounded backlog.
+  Only jobs that open a new key take a slot, and a swarm is admitted
+  or refused whole;
 * **dedupe** — a submission whose cache key matches a persisted result
   answers immediately (``cache: "hit"``); one matching a job already
   in flight piggybacks on it (``cache: "dedup"``) and streams the same
@@ -43,6 +45,11 @@ frontend has no use for:
   at startup, answers recovered jobs from the result cache where
   possible, and re-enqueues the rest (no quota charge), so a ``kill
   -9``'d server picks up exactly the work it still owed.
+
+Jobs, swarm tiles, and journal-recovered jobs all enter through one
+path: :meth:`_gate` (drain and quota; recovery skips it), then
+:meth:`_classify` (one cache lookup per record, the queue cap) and
+:meth:`_commit` (hit, rider, or new key).
 
 Each admitted submission gets a :class:`JobRecord` accumulating its
 ``kiss-serve/1`` event stream (``queued`` → ``started`` → ``retry``* →
@@ -123,8 +130,6 @@ class ServeConfig:
     journal_path: Optional[str] = None
     #: replay the journal at startup and re-enqueue the incomplete jobs.
     resume: bool = False
-    #: hedged-retry latency quantile (see ``CampaignConfig.hedge``).
-    hedge: Optional[float] = None
 
 
 class TokenBucket:
@@ -167,7 +172,8 @@ class JobRecord:
     job_id: str
     tenant: str
     key: str
-    deduped: bool
+    #: rides an identical in-flight job (set at admission).
+    deduped: bool = False
     #: the parsed job spec (every record keeps its own — riders too),
     #: so a cancellation can synthesize a result without the runtime.
     job: Optional[CheckJob] = None
@@ -294,7 +300,6 @@ class CheckService:
             memory_limit=self.config.memory_limit,
             fault_plan=self.config.fault_plan,
             journal_path=self.config.journal_path,
-            hedge=self.config.hedge,
         ))
         self.runtime.origin = "serve"
         self._lock = threading.RLock()
@@ -335,49 +340,35 @@ class CheckService:
             self.start()
 
     def _recover(self) -> None:
-        """Replay the journal and re-own every incomplete job: answer
-        from the result cache where possible (writing the owed ``done``
-        terminal record), re-enqueue the rest — no quota charge, the
-        work was admitted before the crash."""
+        """Replay the journal and re-own every incomplete job through
+        the ordinary commit step: answer from the result cache where
+        possible (writing the owed ``done`` terminal record), ride or
+        re-enqueue the rest.  No gate and no queue cap — the work was
+        admitted before the crash."""
         journal = self.runtime.journal
         if not journal.enabled:
             return
         plan = journal_replay(self.config.journal_path)
         self.recovery = plan.summary_doc()
+        records = []
         for job in plan.jobs:
             # a recovered id may collide with nothing (ids are
-            # tenant/seq and _seq resumes past them, below)
-            key = plan.keys.get(job.job_id) or cache_key(job)
-            tenant = plan.tenants.get(job.job_id) or "anon"
-            record = JobRecord(job_id=job.job_id, tenant=tenant, key=key,
-                               deduped=False, job=job)
-            self._records[job.job_id] = record
-            self._push(record, self._event("queued", job.job_id, tenant=tenant,
-                                           key=key, deduped=False))
+            # tenant/seq and _seq resumes past them)
             tail = job.job_id.rsplit("/", 1)[-1]
             try:
                 self._seq = max(self._seq, int(tail) + 1)
             except ValueError:
                 pass
-            hit = self.runtime.cache.get(key)
+            records.append(JobRecord(
+                job_id=job.job_id, tenant=plan.tenants.get(job.job_id) or "anon",
+                key=plan.keys.get(job.job_id) or cache_key(job), job=job))
+        hits = self._classify(records, capped=False)
+        self.counts["recovered"] += self._commit(records, hits)
+        for record, hit in zip(records, hits):
             if hit is not None:
-                # crash landed between the cache append and the journal
-                # terminal: settle from the cache, close the journal.
-                self.counts["cache_hits"] += 1
-                journal.done(job.job_id, hit.verdict)
-                result = dataclasses.replace(hit, job_id=job.job_id,
-                                             driver=job.driver)
-                self._complete(record, result, cache_state="hit")
-                continue
-            riders = self._active.get(key)
-            if riders is not None:
-                record.deduped = True
-                riders.append(record)
-                continue
-            self._active[key] = [record]
-            self._key_job[key] = job.job_id
-            self._inbox.append((job, key, tenant))
-            self.counts["recovered"] += 1
+                # the crash landed between the cache append and the
+                # journal terminal: close the journal
+                journal.done(record.job_id, hit.verdict)
         self._tel.emit("recovery", path=self.config.journal_path,
                        **{k: v for k, v in self.recovery.items() if k != "schema"})
 
@@ -470,16 +461,7 @@ class CheckService:
         job), and :class:`AdmissionError` carries the 4xx/5xx shape.
         """
         with self._lock:
-            if self.draining:
-                self.counts["rejected_draining"] += 1
-                raise AdmissionError(503, "draining: not admitting new jobs")
-            bucket = self._buckets.setdefault(
-                tenant, TokenBucket(self.config.quota_rate, self.config.quota_burst))
-            if not bucket.try_take():
-                self.counts["rejected_quota"] += 1
-                obs.inc("serve_rejected_quota")
-                raise AdmissionError(429, f"quota exceeded for tenant {tenant!r}",
-                                     retry_after=max(0.05, bucket.retry_after()))
+            self._gate(tenant)
             try:
                 job_id = f"{tenant}/{self._seq}"
                 job = self._job_from_payload(job_id, tenant, payload)
@@ -487,52 +469,11 @@ class CheckService:
             except AdmissionError:
                 self.counts["rejected_invalid"] += 1
                 raise
-            record = JobRecord(job_id=job_id, tenant=tenant, key=key,
-                               deduped=False, job=job)
-
-            hit = self.runtime.cache.get(key)
-            if hit is not None:
-                self._seq += 1
-                self.counts["cache_hits"] += 1
-                obs.inc("serve_cache_hits")
-                self._records[job_id] = record
-                record.events.append(self._event("queued", job_id, tenant=tenant,
-                                                 key=key, deduped=False))
-                result = dataclasses.replace(hit, job_id=job_id, driver=job.driver)
-                self._complete(record, result, cache_state="hit")
-                self._evict_done()
-                return 200, record.status_doc()
-
-            riders = self._active.get(key)
-            if riders is not None:
-                self._seq += 1
-                record.deduped = True
-                self.counts["deduped"] += 1
-                obs.inc("serve_deduped")
-                riders.append(record)
-                self._records[job_id] = record
-                record.events.append(self._event("queued", job_id, tenant=tenant,
-                                                 key=key, deduped=True))
-                return 202, record.status_doc()
-
-            if len(self._active) >= self.config.max_queue:
-                self.counts["rejected_queue"] += 1
-                obs.inc("serve_rejected_queue")
-                raise AdmissionError(429, "admission queue full",
-                                     retry_after=1.0)
-
+            record = JobRecord(job_id=job_id, tenant=tenant, key=key, job=job)
+            hits = self._classify([record])
             self._seq += 1
-            self.counts["submitted"] += 1
-            obs.inc("serve_submissions")
-            self._active[key] = [record]
-            self._key_job[key] = job_id
-            self._records[job_id] = record
-            self._inbox.append((job, key, tenant))
-            record.events.append(self._event("queued", job_id, tenant=tenant,
-                                             key=key, deduped=False))
-            return 202, record.status_doc()
-
-    # -- swarm admission ----------------------------------------------------------
+            self._commit([record], hits)
+            return (202 if hits[0] is None else 200), record.status_doc()
 
     def submit_swarm(self, tenant: str, payload: dict) -> Tuple[int, dict]:
         """Admit one swarm: plan the tiles server-side and fan them out
@@ -540,16 +481,7 @@ class CheckService:
         ``(202, swarm status doc)``; the aggregate verdict arrives as
         the swarm stream's ``done`` event once every tile settles."""
         with self._lock:
-            if self.draining:
-                self.counts["rejected_draining"] += 1
-                raise AdmissionError(503, "draining: not admitting new jobs")
-            bucket = self._buckets.setdefault(
-                tenant, TokenBucket(self.config.quota_rate, self.config.quota_burst))
-            if not bucket.try_take():
-                self.counts["rejected_quota"] += 1
-                obs.inc("serve_rejected_quota")
-                raise AdmissionError(429, f"quota exceeded for tenant {tenant!r}",
-                                     retry_after=max(0.05, bucket.retry_after()))
+            self._gate(tenant)
             try:
                 params = self._swarm_from_payload(payload)
             except AdmissionError:
@@ -565,10 +497,9 @@ class CheckService:
             jobs = swarm_jobs(params["program"], plan,
                               max_states=params["max_states"],
                               por=params["por"], name=swarm_id)
-            if len(self._active) + len(jobs) > self.config.max_queue:
-                self.counts["rejected_queue"] += 1
-                obs.inc("serve_rejected_queue")
-                raise AdmissionError(429, "admission queue full", retry_after=1.0)
+            records = [JobRecord(job_id=job.job_id, tenant=tenant, key=cache_key(job),
+                                 job=job) for job in jobs]
+            hits = self._classify(records)
             self._seq += 1
             self.counts["swarms"] += 1
             obs.inc("serve_swarms")
@@ -583,34 +514,79 @@ class CheckService:
                 "queued", swarm_id, tenant=tenant,
                 key=hashlib.sha256(params["program"].encode()).hexdigest(),
                 deduped=False))
-            for job in jobs:
-                key = cache_key(job)
-                record = JobRecord(job_id=job.job_id, tenant=tenant, key=key,
-                                   deduped=False, job=job)
-                self._records[job.job_id] = record
-                self._swarm_by_tile[job.job_id] = swarm
-                self._push(record, self._event("queued", job.job_id, tenant=tenant,
-                                               key=key, deduped=False))
-                hit = self.runtime.cache.get(key)
-                if hit is not None:
-                    self.counts["cache_hits"] += 1
-                    obs.inc("serve_cache_hits")
-                    result = dataclasses.replace(hit, job_id=job.job_id,
-                                                 driver=job.driver)
-                    self._complete(record, result, cache_state="hit")
-                    continue
-                riders = self._active.get(key)
-                if riders is not None:
-                    record.deduped = True
-                    self.counts["deduped"] += 1
-                    riders.append(record)
-                    continue
-                self.counts["submitted"] += 1
-                self._active[key] = [record]
-                self._key_job[key] = job.job_id
-                self._inbox.append((job, key, tenant))
-            self._evict_done()
+            for record in records:
+                self._swarm_by_tile[record.job_id] = swarm
+            self._commit(records, hits)
             return 202, swarm.status_doc()
+
+    # -- the one admission path ----------------------------------------------------
+
+    def _gate(self, tenant: str) -> None:
+        """The gate :meth:`submit` and :meth:`submit_swarm` share
+        (caller holds the lock): 503 while draining, else one token
+        from the tenant's quota bucket or 429."""
+        if self.draining:
+            self.counts["rejected_draining"] += 1
+            raise AdmissionError(503, "draining: not admitting new jobs")
+        bucket = self._buckets.setdefault(
+            tenant, TokenBucket(self.config.quota_rate, self.config.quota_burst))
+        if not bucket.try_take():
+            self.counts["rejected_quota"] += 1
+            obs.inc("serve_rejected_quota")
+            raise AdmissionError(429, f"quota exceeded for tenant {tenant!r}",
+                                 retry_after=max(0.05, bucket.retry_after()))
+
+    def _classify(self, records: List[JobRecord],
+                  capped: bool = True) -> List[Optional[JobResult]]:
+        """Admission, first half (caller holds the lock): look each
+        record up in the cache once and return the hits.  With
+        ``capped``, refuse the whole batch (429) when the keys it would
+        newly open do not fit under ``max_queue``; cache hits and
+        riders on an in-flight key take no slot.  Nothing changes
+        before the cap passes, so a refused swarm leaves no tile
+        behind."""
+        hits = [self.runtime.cache.get(r.key) for r in records]
+        if capped:
+            new_keys = {r.key for r, hit in zip(records, hits)
+                        if hit is None and r.key not in self._active}
+            if len(self._active) + len(new_keys) > self.config.max_queue:
+                self.counts["rejected_queue"] += 1
+                obs.inc("serve_rejected_queue")
+                raise AdmissionError(429, "admission queue full", retry_after=1.0)
+        return hits
+
+    def _commit(self, records: List[JobRecord], hits: List[Optional[JobResult]]) -> int:
+        """Admission, second half (caller holds the lock): settle each
+        record as a cache hit, a rider on its key's in-flight check, or
+        the job that opens the key, with the same counters and
+        ``queued`` event on every path.  Returns how many keys it
+        opened."""
+        opened = 0
+        for record, hit in zip(records, hits):
+            self._records[record.job_id] = record
+            riders = self._active.get(record.key)
+            record.deduped = hit is None and riders is not None
+            self._push(record, self._event("queued", record.job_id, tenant=record.tenant,
+                                           key=record.key, deduped=record.deduped))
+            if hit is not None:
+                self.counts["cache_hits"] += 1
+                obs.inc("serve_cache_hits")
+                result = dataclasses.replace(hit, job_id=record.job_id,
+                                             driver=record.job.driver)
+                self._complete(record, result, cache_state="hit")
+            elif riders is not None:
+                self.counts["deduped"] += 1
+                obs.inc("serve_deduped")
+                riders.append(record)
+            else:
+                self.counts["submitted"] += 1
+                obs.inc("serve_submissions")
+                self._active[record.key] = [record]
+                self._key_job[record.key] = record.job_id
+                self._inbox.append((record.job, record.key, record.tenant))
+                opened += 1
+        self._evict_done()
+        return opened
 
     def _swarm_from_payload(self, payload: dict) -> Dict[str, Any]:
         if not isinstance(payload, dict):

@@ -1,5 +1,5 @@
 """Durability suite: the write-ahead job journal, crash-recoverable
-resume, cooperative cancellation, and hedged retries.
+resume, and cooperative cancellation.
 
 Three layers of tests:
 
@@ -8,8 +8,8 @@ Three layers of tests:
   cancelled outcome;
 * in-process integration — first-error cancellation through the
   scheduler and the swarm aggregator, abandoned records on runtime
-  close, hedged duplicates of a straggler, and serve-side cancellation
-  plus journal-backed restart recovery;
+  close, and serve-side cancellation plus journal-backed restart
+  recovery;
 * subprocess chaos — ``kill -9`` (the injected ``engine_crash:kill``
   fault) mid-campaign, then ``--resume``: every admitted job reaches a
   terminal state, verdicts equal the crash-free run, the cache holds
@@ -56,27 +56,6 @@ void main() {
   e = malloc(EXT);
   async worker(e);
   e->a = VALUE;
-}
-"""
-
-#: ~0.5s of safe explicit-state exploration: the hedge straggler.
-SLOW_SRC = """
-struct EXT { int a; int b; }
-int g;
-void w(EXT *e) {
-  int i;
-  i = 0;
-  while (i < 8) { e->a = i; g = g + 1; i = i + 1; }
-}
-void main() {
-  EXT *e;
-  e = malloc(EXT);
-  async w(e);
-  async w(e);
-  async w(e);
-  async w(e);
-  g = 0;
-  e->a = 9;
 }
 """
 
@@ -303,35 +282,6 @@ def test_swarm_first_error_cancels_siblings_but_keeps_the_verdict(tmp_path):
     assert all(r.verdict != "cancelled" for r in report2.results)
     settled = len(report.results) - len(cancelled)
     assert sum(1 for r in report2.results if r.cache_hit) == settled
-
-
-# -- hedged retries ----------------------------------------------------------------
-
-
-@pytest.mark.slow
-def test_hedged_retry_duplicates_the_straggler_once(tmp_path):
-    """Six fast jobs build the per-driver latency sample; the slow
-    seventh trips the p50 cutoff, gets exactly one duplicate, the first
-    finisher wins with the true verdict, and the cache holds one entry."""
-    cdir = str(tmp_path / "cache")
-    sched = CampaignScheduler(CampaignConfig(jobs=2, cache_dir=cdir, hedge=0.5))
-    jobs = batch(6) + [CheckJob(job_id="t/slow", driver="t", source=SLOW_SRC,
-                                target="EXT.b")]
-    tel = Telemetry()
-    results = sched.run(jobs, telemetry=tel)
-    by_id = {r.job_id: r for r in results}
-    assert by_id["t/slow"].verdict == "safe"
-    hedges = tel.of_kind("job_hedge")
-    assert [e["job"] for e in hedges] == ["t/slow"]
-    assert any(e["job"] == "t/slow" and e["reason"] == "hedge-loser"
-               for e in tel.of_kind("job_cancelled"))
-    # exactly one cache entry for the hedged key, with the winning verdict
-    hit = ResultCache(cdir).get(cache_key(jobs[-1]))
-    assert hit is not None and hit.verdict == "safe"
-    with open(os.path.join(cdir, "results.jsonl")) as f:
-        lines = [json.loads(l) for l in f if l.strip()]
-    keys = [doc["key"] for doc in lines]
-    assert len(keys) == len(set(keys)) == len(jobs)
 
 
 # -- the service -------------------------------------------------------------------

@@ -482,3 +482,89 @@ def test_http_swarm_round_trip_cancel_and_stream(server):
     assert status == 404
     status, body = client._request("POST", "/v1/swarm", {"program": ""})
     assert status == 400 and "program" in body["error"]
+
+
+def test_cached_swarm_takes_no_queue_slot_and_a_full_swarm_is_refused_whole(tmp_path):
+    """Only tiles that open a new key count against ``max_queue``: a
+    resubmitted swarm whose tiles are all cached is admitted past a
+    nearly full queue, while a swarm needing more new keys than the free
+    slots is refused whole, leaving none of its tiles behind."""
+    svc = CheckService(ServeConfig(jobs=1, cache_dir=str(tmp_path / "c"), max_queue=4,
+                                   quota_burst=100), start_engine=False)
+    try:
+        swarm = {"program": TWO_FORKS, "tiles": 4, "rounds": 3}
+        _, doc = svc.submit_swarm("t", swarm)
+        assert _pump_swarm(svc, doc["swarm"])["state"] == "done"
+        assert svc.submit("t", {"program": SAFE})[0] == 202  # one job active
+        hits = svc.counts["cache_hits"]
+        status, again = svc.submit_swarm("t", swarm)
+        assert status == 202
+        assert svc.counts["cache_hits"] == hits + 4
+
+        assert svc.stats_doc()["queue"]["active"] == 1  # 3 slots free
+        counts, queue, records = dict(svc.counts), svc.stats_doc()["queue"], len(svc._records)
+        fresh = dict(swarm, program=TWO_FORKS.replace("int l0 = 0;", "int l0 = 0;\nint l1 = 0;"))
+        with pytest.raises(AdmissionError) as err:
+            svc.submit_swarm("t", fresh)  # 4 new keys, 3 free slots
+        assert err.value.status == 429 and "queue" in err.value.error
+        assert svc.counts == dict(counts, rejected_queue=counts["rejected_queue"] + 1)
+        assert svc.stats_doc()["queue"] == queue
+        assert len(svc._records) == records
+        assert _pump_swarm(svc, again["swarm"])["verdict"] == "error"
+    finally:
+        svc.stop()
+
+
+def test_deduped_flag_and_counts_agree_on_every_admission_path(tmp_path):
+    """Single jobs, swarm tiles, and journal-recovered jobs go through
+    one admission path: a rider's ``queued`` event says ``deduped: true``
+    exactly when its status document does, and every record lands in
+    exactly one of ``submitted`` / ``deduped`` / ``cache_hits`` — the
+    same split its ``done.cache`` provenance reports."""
+    from repro.campaign import CheckJob, JobJournal, cache_key
+
+    cdir, jpath = str(tmp_path / "cache"), str(tmp_path / "j.jsonl")
+    cached, owed, fresh = distinct(3)
+    warm = CheckService(ServeConfig(jobs=1, cache_dir=cdir))
+    _check(warm, {"program": cached})
+    warm.stop()
+    # a journal owing two jobs on one key (the second must ride the
+    # first) and one job whose verdict the cache already holds
+    journal = JobJournal(jpath)
+    for i, source in enumerate((owed, owed, cached)):
+        job = CheckJob(job_id=f"r/{i}", driver="r", source=source, prop="assertion")
+        journal.admit(job, cache_key(job), tenant="r", origin="serve")
+
+    svc = CheckService(ServeConfig(jobs=1, cache_dir=cdir, journal_path=jpath,
+                                   resume=True, quota_burst=100), start_engine=False)
+    try:
+        ids = ["r/0", "r/1", "r/2"]
+        for payload in ({"program": fresh}, {"program": fresh}, {"program": cached}):
+            ids.append(svc.submit("t", payload)[1]["job"])
+        swarm = {"program": TWO_FORKS, "tiles": 4, "rounds": 3}
+        swarm_ids = [svc.submit_swarm("t", swarm)[1]["swarm"] for _ in range(2)]
+        for sid in swarm_ids:
+            ids.extend(svc.get_swarm(sid)["tile_jobs"])
+        for job_id in ids:
+            events, _ = svc.events_since(job_id, 0)
+            assert events[0]["event"] == "queued"
+            assert events[0]["deduped"] == svc.get(job_id)["deduped"], job_id
+        assert [svc.get(j)["deduped"] for j in ids[:6]] == [False, True, False] * 2
+        second_swarm = svc.get_swarm(swarm_ids[1])["tile_jobs"]
+        assert all(svc.get(j)["deduped"] for j in second_swarm)
+
+        for sid in swarm_ids:
+            assert _pump_swarm(svc, sid)["state"] == "done"
+        for _ in range(8):
+            svc.pump_once()
+        provenance = {"miss": 0, "dedup": 0, "hit": 0}
+        for job_id in ids:
+            doc = svc.get(job_id)
+            assert doc["state"] == "done", job_id
+            provenance[doc["result"]["cache"]] += 1
+        assert provenance == {"miss": svc.counts["submitted"],
+                              "dedup": svc.counts["deduped"],
+                              "hit": svc.counts["cache_hits"]}
+        assert svc.counts["recovered"] == 1
+    finally:
+        svc.stop()
