@@ -6,7 +6,8 @@ The kill-9-and-resume acceptance path, end to end through the CLI:
 1. a crash-free baseline campaign runs with a write-ahead journal;
 2. the same campaign is SIGKILLed mid-run (the injected
    ``engine_crash:kill`` fault) — the journal must show admitted jobs
-   still owed;
+   still owed, and none of its pool workers may outlive it by more than
+   5 s;
 3. ``--resume`` replays the journal and finishes the run: the verdict
    tallies must equal the baseline, every admitted job must reach a
    terminal state, and the cache must hold exactly one entry per key;
@@ -25,10 +26,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 from repro.campaign import replay_journal
 
 DRIVERS = "tracedrv,imca"
+
+#: how long a killed campaign's pool workers may outlive it.
+ORPHAN_GRACE_S = 5.0
 
 
 def campaign(work, name, *extra):
@@ -47,6 +52,37 @@ def campaign(work, name, *extra):
             stdout=out, stderr=subprocess.STDOUT, timeout=300)
     with open(log) as f:
         return proc.returncode, f.read()
+
+
+def live_processes(marker):
+    """Pids of live (non-zombie) processes whose command line contains
+    ``marker``; pool workers are forked, so they carry the campaign's
+    command line.  Linux ``/proc`` only."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                cmdline = f.read()
+            with open(f"/proc/{entry}/stat") as f:
+                state = f.read().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if marker.encode() in cmdline and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def orphans_after_kill(marker, grace=ORPHAN_GRACE_S):
+    """Wait up to ``grace`` seconds for every process naming ``marker``
+    to exit; returns the pids still alive then."""
+    deadline = time.monotonic() + grace
+    while True:
+        alive = live_processes(marker)
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.1)
 
 
 def summary(work, name):
@@ -81,6 +117,10 @@ def main(argv=None):
     plan = replay_journal(os.path.join(work, "crash.jsonl"))
     assert plan.admitted > 0 and plan.incomplete > 0, plan.summary()
     print(f"kill -9 landed: {plan.incomplete}/{plan.admitted} jobs owed")
+    if os.path.isdir("/proc"):
+        alive = orphans_after_kill(os.path.join(work, "crash.jsonl"))
+        assert not alive, f"pool workers outlived the killed campaign: {alive}"
+        print(f"no pool worker outlived the kill by {ORPHAN_GRACE_S:g} s")
     shutil.copy(os.path.join(work, "crash.jsonl"), "DURABILITY_journal.jsonl")
     crashed_doc = plan.summary_doc()
 

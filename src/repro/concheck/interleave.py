@@ -43,9 +43,6 @@ class ConWorld:
     def clone(self) -> "ConWorld":
         return ConWorld(self.world.clone(), list(self.tids), self.next_tid)
 
-    def freeze(self) -> Tuple:
-        return (self.world.freeze(), tuple(self.tids))
-
     @property
     def thread_count(self) -> int:
         return len(self.tids)
@@ -225,31 +222,8 @@ class ConcurrentChecker:
             base = (base, bal.stack, bal.closed)
         return base
 
-    # -- construction ----------------------------------------------------------------
-
     def _initial(self) -> ConWorld:
-        store = Store()
-        for name, g in self.prog.globals.items():
-            if g.init is not None:
-                store.globals[name] = self.interp.eval_const_expr(g.init)
-            else:
-                store.globals[name] = default_value(g.type)
-        entry = self.prog.function(self.pcfg.entry)
-        if entry.params:
-            raise Violation("entry", f"entry function '{entry.name}' must take no parameters")
-        frame = self._fresh_frame(entry.name, [], store)
-        return ConWorld(World(store, [[frame]]), [0], 1)
-
-    def _fresh_frame(self, func_name: str, args: List, store: Store) -> Frame:
-        decl = self.prog.function(func_name)
-        if len(args) != len(decl.params):
-            raise Violation(
-                "arity", f"call of {func_name} with {len(args)} args (expected {len(decl.params)})"
-            )
-        locals_: Dict[str, object] = {p.name: a for p, a in zip(decl.params, args)}
-        for name, typ in decl.locals.items():
-            locals_[name] = default_value(typ)
-        return Frame(func_name, self.pcfg.cfg(func_name).entry, locals_, store.fresh_frame_id())
+        return ConWorld(self.interp.initial_world(), [0], 1)
 
     # -- transition relation ------------------------------------------------------------
 
@@ -288,7 +262,7 @@ class ConcurrentChecker:
             stmt = node.stmt
             callee = self._resolve_callee(stmt.func.name, frame2, c.world.store, node)
             args = [self.interp.eval_atom(a, frame2, c.world.store) for a in stmt.args]
-            c.world.stacks[idx].append(self._fresh_frame(callee, args, c.world.store))
+            c.world.stacks[idx].append(self.interp.new_frame(callee, args, c.world.store))
             return [(c, step, None)]
         if kind == "async":
             c = cw.clone()
@@ -296,8 +270,7 @@ class ConcurrentChecker:
             stmt = node.stmt
             callee = self._resolve_callee(stmt.func.name, frame2, c.world.store, node)
             args = [self.interp.eval_atom(a, frame2, c.world.store) for a in stmt.args]
-            new_frame = self._fresh_frame(callee, args, c.world.store)
-            c.world.stacks.append([new_frame])
+            c.world.stacks.append([self.interp.new_frame(callee, args, c.world.store)])
             c.tids.append(c.next_tid)
             c.next_tid += 1
             return self._advance(c, idx, node, step)
@@ -310,8 +283,7 @@ class ConcurrentChecker:
             return out  # empty => blocked
         # simple nodes
         c = cw.clone()
-        frame2 = c.world.stacks[idx][-1]
-        ok = self.interp.exec_simple(node, frame2, c.world.store, c.world.frames())
+        ok = self.interp.exec_simple(node, c.world.top(idx), c.world.store, c.world)
         if not ok:
             return []  # blocked on assume; will be retried when rescheduled
         return self._advance(c, idx, node, step)
@@ -322,7 +294,7 @@ class ConcurrentChecker:
         out = []
         for i, succ_id in enumerate(node.succs):
             c2 = c.clone() if i + 1 < len(node.succs) else c
-            c2.world.stacks[idx][-1].node = succ_id
+            c2.world.top(idx).node = succ_id
             if self.compress_invisible:
                 self._compress(c2, idx)
             out.append((c2, step, None))
@@ -331,11 +303,11 @@ class ConcurrentChecker:
     def _compress(self, c: ConWorld, idx: int) -> None:
         """Chain invisible local transitions onto the step just taken."""
         for _ in range(self.MAX_COMPRESS_CHAIN):
-            frame = c.world.stacks[idx][-1]
+            frame = c.world.top(idx)
             node = self.pcfg.cfg(frame.func).node(frame.node)
             if not self._is_invisible(frame.func, node):
                 return
-            self.interp.exec_simple(node, frame, c.world.store, c.world.frames())
+            self.interp.exec_simple(node, frame, c.world.store, c.world)
             frame.node = node.succs[0]
 
     def _resolve_callee(self, name: str, frame: Frame, store: Store, node: Node) -> str:
@@ -370,7 +342,7 @@ class ConcurrentChecker:
             del c.world.stacks[idx]
             del c.tids[idx]
             return [(c, step, None)]
-        caller = stack[-1]
+        caller = c.world.top(idx)
         call_node = self.pcfg.cfg(caller.func).node(caller.node)
         if call_node.kind != "call":
             raise Violation("internal", "return into a non-call continuation", node)

@@ -20,7 +20,7 @@ Internal branch points (lowered ``choice`` heads) are resolved by DFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
 from repro.cfg.build import build_program_cfg
 from repro.cfg.graph import Node, ProgramCfg
@@ -29,7 +29,7 @@ from repro.lang.ast import Program
 from repro.seqcheck.interp import Interp, Violation
 from repro.seqcheck.state import Frame, FuncVal, Store, default_value
 
-from .interleave import ConWorld, World
+from .interleave import ConWorld
 
 
 @dataclass
@@ -74,15 +74,7 @@ class TraceReplayer:
     # -- machinery ------------------------------------------------------------------
 
     def _initial(self) -> ConWorld:
-        store = Store()
-        for name, g in self.prog.globals.items():
-            store.globals[name] = (
-                self.interp.eval_const_expr(g.init) if g.init is not None else default_value(g.type)
-            )
-        entry = self.prog.function(self.pcfg.entry)
-        locals_: Dict[str, object] = {n: default_value(t) for n, t in entry.locals.items()}
-        frame = Frame(entry.name, self.pcfg.cfg(entry.name).entry, locals_, store.fresh_frame_id())
-        return ConWorld(World(store, [[frame]]), [0], 1)
+        return ConWorld(self.interp.initial_world(), [0], 1)
 
     @staticmethod
     def _observable(node: Node) -> bool:
@@ -110,7 +102,7 @@ class TraceReplayer:
             return True  # full schedule realized (errors return earlier)
         if silent > self.MAX_SILENT_STEPS:
             return False
-        key = (cw.freeze(), i)
+        key = (self.interp.freezer.freeze(cw.world.store, cw.world.stacks), tuple(cw.tids), i)
         if key in visited:
             return False
         visited.add(key)
@@ -171,7 +163,7 @@ class TraceReplayer:
             stmt = node.stmt
             callee = self._resolve(stmt.func.name, frame, c.world.store, node)
             args = [self.interp.eval_atom(a, frame, c.world.store) for a in stmt.args]
-            c.world.stacks[idx].append(self._frame_for(callee, args, c.world.store))
+            c.world.stacks[idx].append(self.interp.new_frame(callee, args, c.world.store))
             return [c]
         if kind == "async":
             c = cw.clone()
@@ -179,7 +171,7 @@ class TraceReplayer:
             stmt = node.stmt
             callee = self._resolve(stmt.func.name, frame, c.world.store, node)
             args = [self.interp.eval_atom(a, frame, c.world.store) for a in stmt.args]
-            c.world.stacks.append([self._frame_for(callee, args, c.world.store)])
+            c.world.stacks.append([self.interp.new_frame(callee, args, c.world.store)])
             c.tids.append(c.next_tid)
             c.next_tid += 1
             return self._advance(c, idx, node)
@@ -189,8 +181,7 @@ class TraceReplayer:
                 out.extend(self._advance(ConWorld(w, list(cw.tids), cw.next_tid), idx, node))
             return out
         c = cw.clone()
-        frame = c.world.stacks[idx][-1]
-        ok = self.interp.exec_simple(node, frame, c.world.store, c.world.frames())
+        ok = self.interp.exec_simple(node, c.world.top(idx), c.world.store, c.world)
         if not ok:
             return []
         return self._advance(c, idx, node)
@@ -199,16 +190,9 @@ class TraceReplayer:
         out = []
         for j, succ in enumerate(node.succs):
             c2 = c.clone() if j + 1 < len(node.succs) else c
-            c2.world.stacks[idx][-1].node = succ
+            c2.world.top(idx).node = succ
             out.append(c2)
         return out
-
-    def _frame_for(self, func_name: str, args: List, store: Store) -> Frame:
-        decl = self.prog.function(func_name)
-        locals_: Dict[str, object] = {p.name: a for p, a in zip(decl.params, args)}
-        for name, typ in decl.locals.items():
-            locals_[name] = default_value(typ)
-        return Frame(func_name, self.pcfg.cfg(func_name).entry, locals_, store.fresh_frame_id())
 
     def _resolve(self, name: str, frame: Frame, store: Store, node: Node) -> str:
         if name in frame.locals or name in store.globals:
@@ -237,7 +221,7 @@ class TraceReplayer:
             del c.world.stacks[idx]
             del c.tids[idx]
             return [c]
-        caller = stack[-1]
+        caller = c.world.top(idx)
         call_node = self.pcfg.cfg(caller.func).node(caller.node)
         if call_node.kind != "call":
             raise Violation("internal", "return into non-call", node)

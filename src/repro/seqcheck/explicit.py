@@ -23,7 +23,7 @@ from repro.cfg.build import build_program_cfg
 from repro.cfg.graph import Node, ProgramCfg
 from repro.lang.ast import Program
 from repro.seqcheck.interp import Interp, ResourceLimit, Violation, World
-from repro.seqcheck.state import Frame, FuncVal, PtrVal, Store, default_value
+from repro.seqcheck.state import Frame, FuncVal, Store, default_value
 from repro.seqcheck.trace import CheckResult, CheckStats, CheckStatus, TraceStep
 
 
@@ -81,7 +81,7 @@ class SequentialChecker:
     def _check(self) -> CheckResult:
         stats = CheckStats()
         freeze = self.interp.freezer.freeze
-        init = self._initial_world()
+        init = self.interp.initial_world()
         init_key = freeze(init.store, init.stacks)
         if self.reached is not None:
             self.reached.add(init_key)
@@ -155,10 +155,9 @@ class SequentialChecker:
                 # Chain-interior states are observable single-step
                 # successors; record them so the witness set stays closed.
                 self.reached.add(self.interp.freezer.freeze(world.store, world.stacks))
-            stack = world.stacks[0]
-            if not stack:
+            if not world.stacks[0]:
                 break
-            frame = stack[-1]
+            frame = world.top(0)
             node = self.pcfg.cfg(frame.func).node(frame.node)
             if node.kind not in ("skip", "assign", "malloc", "assert", "assume"):
                 break
@@ -166,7 +165,7 @@ class SequentialChecker:
                 break
             step = TraceStep(frame.func, node.id, node.origin)
             try:
-                ok = self.interp.exec_simple(node, frame, world.store, world.frames())
+                ok = self.interp.exec_simple(node, frame, world.store, world)
             except Violation as v:
                 raise _ChainViolation(v, tuple(steps) + (step,)) from None
             steps.append(step)
@@ -174,34 +173,6 @@ class SequentialChecker:
                 return None, tuple(steps)
             frame.node = node.succs[0]
         return world, tuple(steps)
-
-    # -- construction --------------------------------------------------------------
-
-    def _initial_world(self) -> World:
-        store = Store()
-        for name, g in self.prog.globals.items():
-            if g.init is not None:
-                store.globals[name] = self.interp.eval_const_expr(g.init)
-            else:
-                store.globals[name] = default_value(g.type)
-        entry = self.prog.function(self.pcfg.entry)
-        if entry.params:
-            raise Violation("entry", f"entry function '{entry.name}' must take no parameters")
-        frame = self._fresh_frame(entry.name, [], store)
-        return World(store, [[frame]])
-
-    def _fresh_frame(self, func_name: str, args: List, store: Store) -> Frame:
-        decl = self.prog.function(func_name)
-        if len(args) != len(decl.params):
-            raise Violation(
-                "arity", f"call of {func_name} with {len(args)} args (expected {len(decl.params)})"
-            )
-        locals_: Dict[str, object] = {}
-        for p, a in zip(decl.params, args):
-            locals_[p.name] = a
-        for name, typ in decl.locals.items():
-            locals_[name] = default_value(typ)
-        return Frame(func_name, self.pcfg.cfg(func_name).entry, locals_, store.fresh_frame_id())
 
     # -- transition relation ---------------------------------------------------------
 
@@ -242,20 +213,19 @@ class SequentialChecker:
             for w in self.interp.run_atomic(world, 0, node):
                 for succ_id in node.succs:
                     w2 = w.clone() if len(node.succs) > 1 else w
-                    w2.stacks[0][-1].node = succ_id
+                    w2.top(0).node = succ_id
                     out.append((w2, step))
             return out
 
         # simple nodes: skip / assign / malloc / assert / assume
         w = world.clone()
-        f = w.stacks[0][-1]
-        ok = self.interp.exec_simple(node, f, w.store, w.frames())
+        ok = self.interp.exec_simple(node, w.top(0), w.store, w)
         if not ok:
             return []  # infeasible path (failed assume)
         out = []
         for succ_id in node.succs:
             w2 = w.clone() if len(node.succs) > 1 else w
-            w2.stacks[0][-1].node = succ_id
+            w2.top(0).node = succ_id
             out.append((w2, step))
         return out
 
@@ -265,8 +235,7 @@ class SequentialChecker:
         frame = w.stacks[0][-1]
         callee = self._resolve_callee(stmt.func.name, frame, w.store, node)
         args = [self.interp.eval_atom(a, frame, w.store) for a in stmt.args]
-        new_frame = self._fresh_frame(callee, args, w.store)
-        w.stacks[0].append(new_frame)
+        w.stacks[0].append(self.interp.new_frame(callee, args, w.store))
         return [(w, step)]
 
     def _resolve_callee(self, name: str, frame: Frame, store: Store, node: Node) -> str:
@@ -296,7 +265,7 @@ class SequentialChecker:
         stack.pop()
         if not stack:
             return [(w, step)]  # entry returned: terminal state (safe leaf)
-        caller = stack[-1]
+        caller = w.top(0)
         call_node = self.pcfg.cfg(caller.func).node(caller.node)
         if call_node.kind != "call":
             raise Violation("internal", "return into a non-call continuation", node)
@@ -308,7 +277,7 @@ class SequentialChecker:
         out: List[Tuple[World, TraceStep]] = []
         for succ_id in call_node.succs:
             w2 = w.clone() if len(call_node.succs) > 1 else w
-            w2.stacks[0][-1].node = succ_id
+            w2.top(0).node = succ_id
             out.append((w2, step))
         return out
 

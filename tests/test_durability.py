@@ -13,13 +13,15 @@ Three layers of tests:
 * subprocess chaos — ``kill -9`` (the injected ``engine_crash:kill``
   fault) mid-campaign, then ``--resume``: every admitted job reaches a
   terminal state, verdicts equal the crash-free run, the cache holds
-  exactly one entry per key, and a second resume finds nothing to do.
+  exactly one entry per key, and a second resume finds nothing to do;
+  and the killed campaign's pool workers do not outlive it.
 
 The invariants under test are the docs/ROBUSTNESS.md recovery matrix:
 at-least-once execution, exactly-once cache/verdict semantics, and
 cancelled work never cached and never counted as a verdict.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -394,6 +396,26 @@ def _verdicts(tmp_path, name):
     with open(tmp_path / f"{name}.json") as f:
         tallies = json.load(f)["verdicts"]
     return entries, tallies
+
+
+def _durability_smoke():
+    """``scripts/durability_smoke.py`` as a module (its orphan scan)."""
+    path = Path(__file__).parent.parent / "scripts" / "durability_smoke.py"
+    spec = importlib.util.spec_from_file_location("durability_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="the orphan scan reads /proc")
+def test_pool_workers_exit_when_the_campaign_is_killed(tmp_path):
+    """A SIGKILLed campaign's pool workers notice their parent is gone
+    and exit within the smoke's grace period instead of lingering."""
+    crash_rc, crash_log = _campaign(tmp_path, "crash",
+                                    "--inject", "engine_crash:kill:hits=4")
+    assert crash_rc == -9, crash_log
+    smoke = _durability_smoke()
+    assert smoke.orphans_after_kill(str(tmp_path / "crash.jsonl")) == []
 
 
 @pytest.mark.slow
