@@ -501,7 +501,18 @@ class CampaignRuntime:
                         job, reason, attempts=max(0, attempt - 1))))
                     continue
                 token = self._new_token(job.job_id)
-                fut = self._submit_attempt(tel, job, attempt, token.path)
+                try:
+                    fut = self._submit_attempt(tel, job, attempt, token.path)
+                except BrokenProcessPool:
+                    # A worker died since the last wait: nothing was
+                    # started, so requeue the job at the same attempt.
+                    # The wait below collects the lost futures and drops
+                    # the pool; with none in flight, drop it here.
+                    self._drop_token(job.job_id)
+                    self._pending.appendleft((job, key, attempt))
+                    if not self._futures:
+                        self._teardown_pool()
+                    break
                 if fut is None:
                     self._drop_token(job.job_id)
                     crash = self._crash_outcome("crash: pool submission failed")

@@ -243,6 +243,32 @@ def test_pool_submission_fault_retries_then_degrades(baseline):
     assert len(retried) == 1 and retried[0]["reason"] == "pool submission failed"
 
 
+def test_pool_broken_at_submission_requeues_without_an_attempt(baseline, monkeypatch):
+    """A worker can die between the runtime's wait and its next submit,
+    and the executor then refuses the submission: the job goes back to
+    the queue at the same attempt and the campaign finishes normally."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    real_submit = ProcessPoolExecutor.submit
+    refused = []
+
+    def submit(self, fn, *args, **kwargs):
+        if not refused and args[0].job_id == "t/5":
+            refused.append(args[0].job_id)
+            raise BrokenProcessPool("a worker died before this submission")
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    jobs = batch(8)
+    sched = CampaignScheduler(CampaignConfig(jobs=2, retries=1))
+    results = sched.run(jobs)
+    check_invariants(sched, jobs, results, baseline)
+    assert refused == ["t/5"]
+    assert not any(degraded(r) for r in results)
+    assert {r.job_id: r.attempts for r in results}["t/5"] == 1
+
+
 # -- cache faults ------------------------------------------------------------------
 
 
