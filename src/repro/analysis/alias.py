@@ -25,14 +25,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.lang.ast import (
-    Assert,
     Assign,
-    Assume,
     AsyncCall,
-    Atomic,
-    Binary,
     Call,
-    Expr,
     Field,
     FuncDecl,
     Malloc,
@@ -132,12 +127,6 @@ class AliasAnalysis:
         for func in self.prog.functions.values():
             for s in walk_stmts(func.body):
                 self._stmt(func, s)
-
-    def _value_class(self, func: FuncDecl, e: Expr) -> Optional[Loc]:
-        """The location whose *pointee* models the value of atom ``e``."""
-        if isinstance(e, Var):
-            return self._var_loc(func, e.name)
-        return None
 
     def _unify_values(self, a: Optional[Loc], b: Optional[Loc]) -> None:
         if a is None or b is None:

@@ -82,9 +82,6 @@ class SharedAccessInfo:
     fallback: bool = False
     has_heap: bool = False
 
-    def is_shared(self, name: str) -> bool:
-        return name in self.shared
-
 
 def _direct_target(prog: Program, func: FuncDecl, callee: Var) -> bool:
     """A call/async target names a function directly (not a value)."""

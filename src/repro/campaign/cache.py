@@ -9,7 +9,7 @@ and backend budget (``backend``, ``max_states``, ``cegar_rounds``).  See
 :meth:`~repro.campaign.jobs.CheckJob.verdict_config`.
 
 Results persist as JSONL under ``.kiss-cache/`` (one object per line:
-``{"schema": "kiss-cache/3", "key": ..., "result": {...}}``), appended
+``{"schema": "kiss-cache/4", "key": ..., "result": {...}}``), appended
 as jobs finish, so a re-run of the same campaign only checks drivers
 whose programs or configurations changed.  Appends go through an
 exclusive ``flock`` (:func:`repro.ioutil.locked_append`), so two
@@ -46,7 +46,8 @@ CACHE_FILE = "results.jsonl"
 #: changes incompatibly; loaders skip entries with any other tag.
 #: ``/2``: added ``strategy``/``rounds`` to the verdict configuration.
 #: ``/3``: added ``por``/``cs_tile`` (lazy strategy, swarm tiling).
-SCHEMA = "kiss-cache/3"
+#: ``/4``: dropped ``inline`` (the pre-pass knob is gone).
+SCHEMA = "kiss-cache/4"
 
 #: Degraded-outcome detail prefixes that must never be cached: a re-run
 #: with more headroom (longer timeout, higher memory ceiling, no

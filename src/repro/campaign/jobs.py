@@ -31,7 +31,6 @@ KISS_DEFAULTS: Dict[str, Any] = {
     "use_alias_analysis": True,
     "backend": "explicit",
     "cegar_rounds": 16,
-    "inline": False,
     "strategy": "kiss",
     "rounds": 2,
     "por": False,
@@ -51,7 +50,6 @@ VERDICT_KEYS = (
     "use_alias_analysis",
     "backend",
     "cegar_rounds",
-    "inline",
     "strategy",
     "rounds",
     "por",

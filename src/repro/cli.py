@@ -70,7 +70,6 @@ def _kiss(args) -> Kiss:
         use_alias_analysis=not getattr(args, "no_alias", False),
         validate_traces=getattr(args, "validate", False),
         backend=getattr(args, "backend", "explicit"),
-        inline=getattr(args, "inline", False),
         strategy=getattr(args, "strategy", "kiss"),
         rounds=getattr(args, "rounds", 2),
         por=getattr(args, "por", False),
@@ -437,7 +436,6 @@ def cmd_profile(args) -> int:
             "max_ts": args.max_ts,
             "max_states": args.max_states,
             "backend": args.backend,
-            "inline": args.inline,
             "use_alias_analysis": not getattr(args, "no_alias", False),
         },
         metrics=metrics,
@@ -769,8 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay error traces against concurrent semantics")
         sp.add_argument("--backend", choices=("explicit", "cegar"), default="explicit",
                         help="sequential backend (cegar = SLAM-lite, scalar fragment)")
-        sp.add_argument("--inline", action="store_true",
-                        help="inline small leaf functions before instrumenting")
         sp.add_argument("--witness", action="store_true",
                         help="emit a kiss-witness/1 safety certificate on a safe verdict")
         sp.add_argument("--witness-out", metavar="PATH",

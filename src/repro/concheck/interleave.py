@@ -24,11 +24,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import cancel
 from repro.cfg.build import build_program_cfg
 from repro.cfg.graph import Node, ProgramCfg
 from repro.lang.ast import Program
 from repro.seqcheck.interp import Interp, ResourceLimit, Violation, World
-from repro.seqcheck.state import Frame, FuncVal, Store, default_value
 from repro.seqcheck.trace import CheckResult, CheckStats, CheckStatus, TraceStep
 
 
@@ -40,12 +40,19 @@ class ConWorld:
     tids: List[int]
     next_tid: int
 
-    def clone(self) -> "ConWorld":
-        return ConWorld(self.world.clone(), list(self.tids), self.next_tid)
-
-    @property
-    def thread_count(self) -> int:
-        return len(self.tids)
+    def step(self, interp: Interp, idx: int, node: Node) -> List["ConWorld"]:
+        """Thread ``idx`` executes ``node`` (see :meth:`Interp.step`): an
+        ``async`` gives the new thread the next tid, and a thread whose
+        last frame returns is dropped with its tid."""
+        worlds = interp.step(self.world, idx, node)
+        tids, next_tid = self.tids, self.next_tid
+        if node.kind == "async":
+            tids = tids + [next_tid]
+            next_tid += 1
+        elif node.kind == "return" and not worlds[0].stacks[idx]:
+            del worlds[0].stacks[idx]
+            tids = tids[:idx] + tids[idx + 1:]
+        return [ConWorld(w, list(tids), next_tid) for w in worlds]
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,7 @@ class ConcurrentChecker:
         queue = deque([(init, init_key, None, 0, 0, bal0)])
         stats.states = 1
         while queue:
+            cancel.poll()
             cw, key, last_tid, switches, depth, bal = queue.popleft()
             stats.max_depth = max(stats.max_depth, depth)
             try:
@@ -236,69 +244,30 @@ class ConcurrentChecker:
         """
         out: List[Tuple[ConWorld, TraceStep, Optional[Violation]]] = []
         for idx in range(len(cw.tids)):
-            try:
-                out.extend(self._thread_steps(cw, idx))
-            except Violation as v:
-                frame = cw.world.stacks[idx][-1]
-                node = v.node or self.pcfg.cfg(frame.func).node(frame.node)
-                step = TraceStep(frame.func, node.id, node.origin, tid=cw.tids[idx])
-                out.append((cw, step, v))
+            out.extend(self._thread_steps(cw, idx))
         return out
 
-    def _thread_steps(self, cw: ConWorld, idx: int) -> List[Tuple[ConWorld, TraceStep, None]]:
+    def _thread_steps(
+        self, cw: ConWorld, idx: int
+    ) -> List[Tuple[ConWorld, TraceStep, Optional[Violation]]]:
         stack = cw.world.stacks[idx]
         frame = stack[-1]
-        cfg = self.pcfg.cfg(frame.func)
-        node = cfg.node(frame.node)
+        node = self.pcfg.cfg(frame.func).node(frame.node)
         tid = cw.tids[idx]
+        try:
+            succs = cw.step(self.interp, idx, node)
+            # A call enters the callee and a finished thread is gone:
+            # neither leaves this thread's step to chain invisible steps onto.
+            if self.compress_invisible and node.kind != "call" and not (
+                node.kind == "return" and len(stack) == 1
+            ):
+                for c in succs:
+                    self._compress(c, idx)
+        except Violation as v:
+            node = v.node or node
+            return [(cw, TraceStep(frame.func, node.id, node.origin, tid=tid), v)]
         step = TraceStep(frame.func, node.id, node.origin, tid=tid)
-        kind = node.kind
-
-        if kind == "return":
-            return self._exec_return(cw, idx, node, step)
-        if kind == "call":
-            c = cw.clone()
-            frame2 = c.world.stacks[idx][-1]
-            stmt = node.stmt
-            callee = self._resolve_callee(stmt.func.name, frame2, c.world.store, node)
-            args = [self.interp.eval_atom(a, frame2, c.world.store) for a in stmt.args]
-            c.world.stacks[idx].append(self.interp.new_frame(callee, args, c.world.store))
-            return [(c, step, None)]
-        if kind == "async":
-            c = cw.clone()
-            frame2 = c.world.stacks[idx][-1]
-            stmt = node.stmt
-            callee = self._resolve_callee(stmt.func.name, frame2, c.world.store, node)
-            args = [self.interp.eval_atom(a, frame2, c.world.store) for a in stmt.args]
-            c.world.stacks.append([self.interp.new_frame(callee, args, c.world.store)])
-            c.tids.append(c.next_tid)
-            c.next_tid += 1
-            return self._advance(c, idx, node, step)
-        if kind == "atomic":
-            out: List[Tuple[ConWorld, TraceStep, None]] = []
-            results = self.interp.run_atomic(cw.world, idx, node)
-            for w in results:
-                c = ConWorld(w, list(cw.tids), cw.next_tid)
-                out.extend(self._advance(c, idx, node, step))
-            return out  # empty => blocked
-        # simple nodes
-        c = cw.clone()
-        ok = self.interp.exec_simple(node, c.world.top(idx), c.world.store, c.world)
-        if not ok:
-            return []  # blocked on assume; will be retried when rescheduled
-        return self._advance(c, idx, node, step)
-
-    def _advance(
-        self, c: ConWorld, idx: int, node: Node, step: TraceStep
-    ) -> List[Tuple[ConWorld, TraceStep, None]]:
-        out = []
-        for i, succ_id in enumerate(node.succs):
-            c2 = c.clone() if i + 1 < len(node.succs) else c
-            c2.world.top(idx).node = succ_id
-            if self.compress_invisible:
-                self._compress(c2, idx)
-            out.append((c2, step, None))
-        return out
+        return [(c, step, None) for c in succs]  # empty => blocked
 
     def _compress(self, c: ConWorld, idx: int) -> None:
         """Chain invisible local transitions onto the step just taken."""
@@ -309,48 +278,6 @@ class ConcurrentChecker:
                 return
             self.interp.exec_simple(node, frame, c.world.store, c.world)
             frame.node = node.succs[0]
-
-    def _resolve_callee(self, name: str, frame: Frame, store: Store, node: Node) -> str:
-        if name in frame.locals or name in store.globals:
-            v = frame.locals.get(name, store.globals.get(name))
-            if not isinstance(v, FuncVal):
-                raise Violation("bad-call", f"call through non-function value {v!r}", node)
-            if v.name not in self.prog.functions:
-                raise Violation("undef-call", f"call of undefined function value {v}", node)
-            return v.name
-        if name in self.prog.functions:
-            return name
-        raise Violation("undef-call", f"call of unknown function '{name}'", node)
-
-    def _exec_return(
-        self, cw: ConWorld, idx: int, node: Node, step: TraceStep
-    ) -> List[Tuple[ConWorld, TraceStep, None]]:
-        c = cw.clone()
-        stack = c.world.stacks[idx]
-        frame = stack[-1]
-        stmt = node.stmt
-        decl = self.prog.function(frame.func)
-        if stmt.value is not None:
-            value = self.interp.eval_atom(stmt.value, frame, c.world.store)
-        elif decl.ret is not None:
-            value = default_value(decl.ret)
-        else:
-            value = None
-        stack.pop()
-        if not stack:
-            # thread finished
-            del c.world.stacks[idx]
-            del c.tids[idx]
-            return [(c, step, None)]
-        caller = c.world.top(idx)
-        call_node = self.pcfg.cfg(caller.func).node(caller.node)
-        if call_node.kind != "call":
-            raise Violation("internal", "return into a non-call continuation", node)
-        if call_node.stmt.lhs is not None:
-            if value is None:
-                raise Violation("void-result", f"void result of {frame.func} used as a value", node)
-            self.interp._write_var(call_node.stmt.lhs.name, value, caller, c.world.store)
-        return self._advance(c, idx, call_node, step)
 
     @staticmethod
     def _build_trace(parents: Dict, key: Tuple) -> List[TraceStep]:

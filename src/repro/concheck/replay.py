@@ -27,7 +27,6 @@ from repro.cfg.graph import Node, ProgramCfg
 from repro.core.tracemap import ConcurrentTrace, PlanStep
 from repro.lang.ast import Program
 from repro.seqcheck.interp import Interp, Violation
-from repro.seqcheck.state import Frame, FuncVal, Store, default_value
 
 from .interleave import ConWorld
 
@@ -119,7 +118,7 @@ class TraceReplayer:
             if not self._matches(node, step):
                 return False
             try:
-                succs = self._execute(cw, idx, node)
+                succs = cw.step(self.interp, idx, node)
             except Violation as v:
                 if last and expect == "error" and v.kind == "assert":
                     return True
@@ -137,7 +136,7 @@ class TraceReplayer:
 
         # navigation / call / return: free moves
         try:
-            succs = self._execute(cw, idx, node)
+            succs = cw.step(self.interp, idx, node)
         except Violation:
             return False
         for succ in succs:
@@ -151,83 +150,6 @@ class TraceReplayer:
         if node.kind == "async":
             return False
         return node.origin.sid == step.sid
-
-    # one scheduled step of thread idx; returns successor configurations
-    def _execute(self, cw: ConWorld, idx: int, node: Node) -> List[ConWorld]:
-        kind = node.kind
-        if kind == "return":
-            return self._exec_return(cw, idx, node)
-        if kind == "call":
-            c = cw.clone()
-            frame = c.world.stacks[idx][-1]
-            stmt = node.stmt
-            callee = self._resolve(stmt.func.name, frame, c.world.store, node)
-            args = [self.interp.eval_atom(a, frame, c.world.store) for a in stmt.args]
-            c.world.stacks[idx].append(self.interp.new_frame(callee, args, c.world.store))
-            return [c]
-        if kind == "async":
-            c = cw.clone()
-            frame = c.world.stacks[idx][-1]
-            stmt = node.stmt
-            callee = self._resolve(stmt.func.name, frame, c.world.store, node)
-            args = [self.interp.eval_atom(a, frame, c.world.store) for a in stmt.args]
-            c.world.stacks.append([self.interp.new_frame(callee, args, c.world.store)])
-            c.tids.append(c.next_tid)
-            c.next_tid += 1
-            return self._advance(c, idx, node)
-        if kind == "atomic":
-            out: List[ConWorld] = []
-            for w in self.interp.run_atomic(cw.world, idx, node):
-                out.extend(self._advance(ConWorld(w, list(cw.tids), cw.next_tid), idx, node))
-            return out
-        c = cw.clone()
-        ok = self.interp.exec_simple(node, c.world.top(idx), c.world.store, c.world)
-        if not ok:
-            return []
-        return self._advance(c, idx, node)
-
-    def _advance(self, c: ConWorld, idx: int, node: Node) -> List[ConWorld]:
-        out = []
-        for j, succ in enumerate(node.succs):
-            c2 = c.clone() if j + 1 < len(node.succs) else c
-            c2.world.top(idx).node = succ
-            out.append(c2)
-        return out
-
-    def _resolve(self, name: str, frame: Frame, store: Store, node: Node) -> str:
-        if name in frame.locals or name in store.globals:
-            v = frame.locals.get(name, store.globals.get(name))
-            if not isinstance(v, FuncVal) or v.name not in self.prog.functions:
-                raise Violation("bad-call", f"indirect call through {v!r}", node)
-            return v.name
-        if name in self.prog.functions:
-            return name
-        raise Violation("undef-call", f"unknown function {name}", node)
-
-    def _exec_return(self, cw: ConWorld, idx: int, node: Node) -> List[ConWorld]:
-        c = cw.clone()
-        stack = c.world.stacks[idx]
-        frame = stack[-1]
-        decl = self.prog.function(frame.func)
-        stmt = node.stmt
-        if stmt.value is not None:
-            value = self.interp.eval_atom(stmt.value, frame, c.world.store)
-        elif decl.ret is not None:
-            value = default_value(decl.ret)
-        else:
-            value = None
-        stack.pop()
-        if not stack:
-            del c.world.stacks[idx]
-            del c.tids[idx]
-            return [c]
-        caller = c.world.top(idx)
-        call_node = self.pcfg.cfg(caller.func).node(caller.node)
-        if call_node.kind != "call":
-            raise Violation("internal", "return into non-call", node)
-        if call_node.stmt.lhs is not None and value is not None:
-            self.interp._write_var(call_node.stmt.lhs.name, value, caller, c.world.store)
-        return self._advance(c, idx, call_node)
 
 
 def replay_trace(prog: Program, trace: ConcurrentTrace, expect: str = "error") -> ReplayResult:

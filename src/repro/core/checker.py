@@ -172,7 +172,6 @@ class Kiss:
         validate_traces: bool = False,
         backend: str = "explicit",
         cegar_rounds: int = 16,
-        inline: bool = False,
         observe: bool = False,
         strategy: str = "kiss",
         rounds: int = 2,
@@ -199,9 +198,6 @@ class Kiss:
         self.validate_traces = validate_traces and backend == "explicit"
         self.backend = backend
         self.cegar_rounds = cegar_rounds
-        #: pre-pass: inline small leaf functions (lock wrappers etc.)
-        #: before instrumenting — shrinks the explored state space
-        self.inline = inline
         #: record per-phase timings and counters (:mod:`repro.obs`) and
         #: attach the snapshot as ``KissResult.metrics``
         self.observe = observe
@@ -212,16 +208,9 @@ class Kiss:
 
     def _as_core(self, prog: Program) -> Program:
         if is_core_program(prog):
-            core = prog
-        else:
-            with obs.span("lower"):
-                core = lower_program(prog)
-        if self.inline:
-            from repro.lang.inline import inline_program
-            from repro.lang.lower import clone_program
-
-            core = inline_program(clone_program(core))
-        return core
+            return prog
+        with obs.span("lower"):
+            return lower_program(prog)
 
     def _transformer(self) -> KissTransformer:
         """The assertion-checking transformer for the configured strategy."""
@@ -431,7 +420,6 @@ class Kiss:
             "use_alias_analysis": self.use_alias_analysis,
             "backend": self.backend,
             "cegar_rounds": self.cegar_rounds,
-            "inline": False,  # _as_core already inlined
             "por": False,  # the race instrumentation never prunes switch points
             "map_traces": self.map_traces,
             "validate_traces": self.validate_traces,

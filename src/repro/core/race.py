@@ -43,7 +43,6 @@ from repro.lang.ast import (
     AsyncCall,
     Binary,
     Block,
-    BoolLit,
     Call,
     Choice,
     Expr,
@@ -57,7 +56,6 @@ from repro.lang.ast import (
     Program,
     PtrType,
     Return,
-    Skip,
     Stmt,
     StructType,
     Type,
@@ -393,13 +391,3 @@ class RaceTransformer(KissTransformer):
         if isinstance(t, PtrType) and isinstance(t.elem, StructType):
             return t.elem.name
         return None
-
-
-def kiss_race_transform(
-    prog: Program,
-    target: RaceTarget,
-    max_ts: int = 0,
-    use_alias_analysis: bool = True,
-) -> Program:
-    """Sequentialize ``prog`` with race checking for ``target``."""
-    return RaceTransformer(target, max_ts=max_ts, use_alias_analysis=use_alias_analysis).transform(prog)

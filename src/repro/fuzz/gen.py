@@ -30,7 +30,7 @@ and lets campaign caching work across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.lang.ast import (
@@ -116,9 +116,6 @@ class GeneratedProgram:
     program: Program
     source: str
     n_forks: int
-
-    def stmt_count(self) -> int:
-        return count_statements(self.program)
 
 
 def count_statements(prog: Program) -> int:

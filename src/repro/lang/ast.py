@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +463,6 @@ class StructDecl:
     name: str
     fields: "Dict[str, Type]"
     pos: Pos = NOPOS
-
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(self.fields)
 
     def __str__(self) -> str:
         body = " ".join(f"{t} {f};" for f, t in self.fields.items())

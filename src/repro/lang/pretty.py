@@ -173,15 +173,6 @@ class _Printer:
             raise ValueError(f"cannot pretty-print statement {type(s).__name__}")
 
 
-def pretty_stmt_block(b: Block, indent_level: int = 0) -> str:
-    """Render the statements of a block (without surrounding braces)."""
-    p = _Printer()
-    p._level = indent_level
-    for s in b.stmts:
-        p.stmt(s)
-    return "\n".join(p._lines)
-
-
 def pretty_program(prog: Program) -> str:
     """Emit a whole program as re-parseable source text."""
     p = _Printer()

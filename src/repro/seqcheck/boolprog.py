@@ -14,7 +14,7 @@ by :mod:`repro.seqcheck.bebop`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 
 # -- expressions ---------------------------------------------------------------
@@ -82,16 +82,6 @@ def bor_many(es: Sequence[BExpr]) -> BExpr:
     out = es[0]
     for e in es[1:]:
         out = BOr(out, e)
-    return out
-
-
-def band_many(es: Sequence[BExpr]) -> BExpr:
-    """Conjunction of a list (True when empty)."""
-    if not es:
-        return BConst(True)
-    out = es[0]
-    for e in es[1:]:
-        out = BAnd(out, e)
     return out
 
 

@@ -23,7 +23,6 @@ from repro.cfg.build import build_program_cfg
 from repro.cfg.graph import Node, ProgramCfg
 from repro.lang.ast import Program
 from repro.seqcheck.interp import Interp, ResourceLimit, Violation, World
-from repro.seqcheck.state import Frame, FuncVal, Store, default_value
 from repro.seqcheck.trace import CheckResult, CheckStats, CheckStatus, TraceStep
 
 
@@ -95,11 +94,11 @@ class SequentialChecker:
             if depth >= self.max_depth:
                 continue
             try:
-                successors = self._successors(world)
+                step, succs = self._successors(world)
                 if self.compress_chains:
-                    successors = [self._compress(succ, step) for succ, step in successors]
+                    successors = [self._compress(succ, step) for succ in succs]
                 else:
-                    successors = [(succ, (step,)) for succ, step in successors]
+                    successors = [(succ, (step,)) for succ in succs]
             except _ChainViolation as cv:
                 trace = self._build_trace(parents, key) + list(cv.steps)
                 return CheckResult(
@@ -185,101 +184,21 @@ class SequentialChecker:
         node = v.node or self._current_node(world)
         return TraceStep(frame.func, node.id, node.origin)
 
-    def _successors(self, world: World) -> List[Tuple[World, TraceStep]]:
+    def _successors(self, world: World) -> Tuple[Optional[TraceStep], List[World]]:
+        """The step taken from ``world`` and its successor worlds."""
         stack = world.stacks[0]
         if not stack:
-            return []  # program terminated
+            return None, []  # program terminated
         frame = stack[-1]
-        cfg = self.pcfg.cfg(frame.func)
-        node = cfg.node(frame.node)
-        step = TraceStep(frame.func, node.id, node.origin)
-        kind = node.kind
-
-        if kind == "async":
+        node = self.pcfg.cfg(frame.func).node(frame.node)
+        if node.kind == "async":
             raise Violation(
                 "not-sequential",
                 "async statement in a sequential program — run the KISS transformation first",
                 node,
             )
-
-        if kind == "return":
-            return self._exec_return(world, node, step)
-
-        if kind == "call":
-            return self._exec_call(world, node, step)
-
-        if kind == "atomic":
-            out: List[Tuple[World, TraceStep]] = []
-            for w in self.interp.run_atomic(world, 0, node):
-                for succ_id in node.succs:
-                    w2 = w.clone() if len(node.succs) > 1 else w
-                    w2.top(0).node = succ_id
-                    out.append((w2, step))
-            return out
-
-        # simple nodes: skip / assign / malloc / assert / assume
-        w = world.clone()
-        ok = self.interp.exec_simple(node, w.top(0), w.store, w)
-        if not ok:
-            return []  # infeasible path (failed assume)
-        out = []
-        for succ_id in node.succs:
-            w2 = w.clone() if len(node.succs) > 1 else w
-            w2.top(0).node = succ_id
-            out.append((w2, step))
-        return out
-
-    def _exec_call(self, world: World, node: Node, step: TraceStep) -> List[Tuple[World, TraceStep]]:
-        stmt = node.stmt
-        w = world.clone()
-        frame = w.stacks[0][-1]
-        callee = self._resolve_callee(stmt.func.name, frame, w.store, node)
-        args = [self.interp.eval_atom(a, frame, w.store) for a in stmt.args]
-        w.stacks[0].append(self.interp.new_frame(callee, args, w.store))
-        return [(w, step)]
-
-    def _resolve_callee(self, name: str, frame: Frame, store: Store, node: Node) -> str:
-        if name in frame.locals or name in store.globals:
-            v = frame.locals.get(name, store.globals.get(name))
-            if not isinstance(v, FuncVal):
-                raise Violation("bad-call", f"call through non-function value {v!r}", node)
-            if v.name not in self.prog.functions:
-                raise Violation("undef-call", f"call of undefined function value {v}", node)
-            return v.name
-        if name in self.prog.functions:
-            return name
-        raise Violation("undef-call", f"call of unknown function '{name}'", node)
-
-    def _exec_return(self, world: World, node: Node, step: TraceStep) -> List[Tuple[World, TraceStep]]:
-        w = world.clone()
-        stack = w.stacks[0]
-        frame = stack[-1]
-        stmt = node.stmt
-        decl = self.prog.function(frame.func)
-        if stmt.value is not None:
-            value = self.interp.eval_atom(stmt.value, frame, w.store)
-        elif decl.ret is not None:
-            value = default_value(decl.ret)  # fell off the end of a non-void fn
-        else:
-            value = None
-        stack.pop()
-        if not stack:
-            return [(w, step)]  # entry returned: terminal state (safe leaf)
-        caller = w.top(0)
-        call_node = self.pcfg.cfg(caller.func).node(caller.node)
-        if call_node.kind != "call":
-            raise Violation("internal", "return into a non-call continuation", node)
-        call_stmt = call_node.stmt
-        if call_stmt.lhs is not None:
-            if value is None:
-                raise Violation("void-result", f"void result of {frame.func} used as a value", node)
-            self.interp._write_var(call_stmt.lhs.name, value, caller, w.store)
-        out: List[Tuple[World, TraceStep]] = []
-        for succ_id in call_node.succs:
-            w2 = w.clone() if len(call_node.succs) > 1 else w
-            w2.top(0).node = succ_id
-            out.append((w2, step))
-        return out
+        # The entry's return leaves the stack empty: a terminal state.
+        return TraceStep(frame.func, node.id, node.origin), self.interp.step(world, 0, node)
 
     # -- trace reconstruction -----------------------------------------------------------
 

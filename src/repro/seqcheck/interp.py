@@ -1,14 +1,17 @@
 """Small-step execution of core statements over CFGs.
 
-This module is shared by the sequential checker (:mod:`repro.seqcheck.explicit`)
-and the concurrent checker (:mod:`repro.concheck.interleave`).  It provides:
+This module is the one thread-step relation shared by three engines: the
+sequential checker (:mod:`repro.seqcheck.explicit`), the interleaving
+checker (:mod:`repro.concheck.interleave`) and the trace replayer
+(:mod:`repro.concheck.replay`).  It provides:
 
 * :class:`World` — a full runtime configuration (store + one stack per
   thread), cloned copy-on-write,
 * :class:`Freezer` — canonical freezing for visited-set deduplication,
   over a slot layout computed once per program,
-* :class:`Interp` — evaluation of atoms and execution of primitive nodes,
-  including indivisible execution of ``atomic`` regions,
+* :class:`Interp` — evaluation of atoms and one step of one thread
+  (:meth:`Interp.step`): primitive nodes, ``call``, ``async``,
+  ``return`` and indivisible ``atomic`` regions,
 * :class:`Violation` — a detected safety violation.
 
 Canonical freezing renames heap cells (by deterministic reachability
@@ -23,20 +26,15 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cfg.graph import Cfg, Node, ProgramCfg
+from repro.cfg.graph import Node, ProgramCfg
 from repro.lang.ast import (
-    Assert,
     Assign,
-    Assume,
     Binary,
     BoolLit,
-    Call,
     Expr,
     Field,
-    FuncDecl,
     FuncType,
     IntLit,
-    Malloc,
     NullLit,
     Program,
     PtrType,
@@ -69,9 +67,10 @@ class ResourceLimit(Exception):
 class World:
     """A full configuration: shared store plus one stack per live thread.
 
-    The sequential checker uses a single stack.  ``stacks`` entries are
-    never empty lists except transiently; a thread whose stack empties is
-    removed by the owning checker.
+    The sequential checker uses a single stack, and keeps it once it is
+    empty: that world is the program's terminal state.  The concurrent
+    engines drop a thread's stack as soon as it empties (see
+    :meth:`repro.concheck.interleave.ConWorld.step`).
 
     A clone copies the stack lists and shares everything else (see
     :class:`~repro.seqcheck.state.Store`).  Write a frame only through
@@ -323,6 +322,92 @@ class Interp:
             locals_[name] = default_value(typ)
         return Frame(func_name, self.pcfg.cfg(func_name).entry, locals_, store.fresh_frame_id(),
                      store.owner)
+
+    # -- one thread step -------------------------------------------------------
+
+    def step(self, world: World, idx: int, node: Node) -> List[World]:
+        """Execute ``node``, the next node of thread ``idx``, and return
+        the successor worlds; ``world`` itself is left unchanged.
+
+        ``call`` pushes the callee's frame.  ``async`` appends the new
+        thread's stack.  ``return`` pops the frame and, when a caller is
+        left, writes the result and advances it past its ``call`` node;
+        otherwise the thread's stack is left empty for the engine to keep
+        or drop.  An empty list means the step is blocked (a failed
+        ``assume``, or an ``atomic`` region every path of which fails
+        one).  Raises :class:`Violation` on safety violations.
+        """
+        kind = node.kind
+        if kind == "atomic":
+            worlds = self.run_atomic(world, idx, node)
+        else:
+            w = world.clone()
+            if kind == "return":
+                return self._exec_return(w, idx, node)
+            if kind == "call" or kind == "async":
+                frame = w.stacks[idx][-1]
+                stmt = node.stmt
+                callee = self._resolve_callee(stmt.func.name, frame, w.store, node)
+                args = [self.eval_atom(a, frame, w.store) for a in stmt.args]
+                new = self.new_frame(callee, args, w.store)
+                if kind == "call":
+                    w.stacks[idx].append(new)  # the return advances the caller
+                    return [w]
+                w.stacks.append([new])
+            elif not self.exec_simple(node, w.top(idx), w.store, w):
+                return []
+            worlds = [w]
+        return self._advance(worlds, idx, node.succs)
+
+    @staticmethod
+    def _advance(worlds: List[World], idx: int, succs: List[int]) -> List[World]:
+        """Fan each world out over ``succs``, moving thread ``idx`` there;
+        every successor world but the last is a clone."""
+        out: List[World] = []
+        last = len(succs) - 1
+        for w in worlds:
+            for i, succ in enumerate(succs):
+                w2 = w.clone() if i < last else w
+                w2.top(idx).node = succ
+                out.append(w2)
+        return out
+
+    def _resolve_callee(self, name: str, frame: Frame, store: Store, node: Node) -> str:
+        if name in frame.locals or name in store.globals:
+            v = frame.locals.get(name, store.globals.get(name))
+            if not isinstance(v, FuncVal):
+                raise Violation("bad-call", f"call through non-function value {v!r}", node)
+            if v.name not in self.prog.functions:
+                raise Violation("undef-call", f"call of undefined function value {v}", node)
+            return v.name
+        if name in self.prog.functions:
+            return name
+        raise Violation("undef-call", f"call of unknown function '{name}'", node)
+
+    def _exec_return(self, w: World, idx: int, node: Node) -> List[World]:
+        stack = w.stacks[idx]
+        frame = stack[-1]
+        stmt = node.stmt
+        decl = self.prog.function(frame.func)
+        if stmt.value is not None:
+            value = self.eval_atom(stmt.value, frame, w.store)
+        elif decl.ret is not None:
+            value = default_value(decl.ret)  # fell off the end of a non-void fn
+        else:
+            value = None
+        stack.pop()
+        if not stack:
+            return [w]  # the thread finished
+        caller = w.top(idx)
+        call_node = self.pcfg.cfg(caller.func).node(caller.node)
+        if call_node.kind != "call":
+            raise Violation("internal", "return into a non-call continuation", node)
+        lhs = call_node.stmt.lhs
+        if lhs is not None:
+            if value is None:
+                raise Violation("void-result", f"void result of {frame.func} used as a value", node)
+            self._write_var(lhs.name, value, caller, w.store)
+        return self._advance([w], idx, call_node.succs)
 
     # -- atoms -----------------------------------------------------------------
 

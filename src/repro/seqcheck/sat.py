@@ -46,9 +46,6 @@ class CnfBuilder:
         self.add(v if value else -v)
         return v
 
-    def not_(self, a: Literal) -> Literal:
-        return -a
-
     def and_(self, a: Literal, b: Literal) -> Literal:
         o = self.fresh()
         self.add(-o, a)
@@ -88,14 +85,6 @@ class CnfBuilder:
         out = lits[0]
         for l in lits[1:]:
             out = self.and_(out, l)
-        return out
-
-    def or_many(self, lits: Sequence[Literal]) -> Literal:
-        if not lits:
-            return self.const(False)
-        out = lits[0]
-        for l in lits[1:]:
-            out = self.or_(out, l)
         return out
 
 
@@ -165,8 +154,3 @@ def solve(
     for v in range(1, num_vars + 1):
         model.setdefault(v, False)
     return model
-
-
-def is_satisfiable(builder: CnfBuilder, assumptions: Sequence[Literal] = ()) -> bool:
-    """Convenience wrapper over :func:`solve`."""
-    return solve(builder.clauses, builder.num_vars, assumptions) is not None

@@ -251,29 +251,3 @@ def test_top_level_lazy_exports():
     assert repro.RaceTarget is RT
     with pytest.raises(AttributeError):
         repro.not_a_thing
-
-
-def test_inline_option_preserves_verdicts_and_shrinks_states():
-    src = """
-    int lock; int g;
-    void acquire() { atomic { assume(lock == 0); lock = 1; } }
-    void release() { atomic { lock = 0; } }
-    void worker() { acquire(); g = 2; release(); }
-    void main() { async worker(); acquire(); g = 1; assert(g == 1); release(); }
-    """
-    plain = Kiss(max_ts=1, map_traces=False).check_assertions(parse_core(src))
-    inlined = Kiss(max_ts=1, map_traces=False, inline=True).check_assertions(parse_core(src))
-    assert plain.verdict == inlined.verdict == "safe"
-    assert inlined.backend_result.stats.states <= plain.backend_result.stats.states
-
-
-def test_inline_option_keeps_traces_replayable():
-    src = """
-    int g;
-    void set2() { g = 2; }
-    void main() { set2(); assert(g == 1); }
-    """
-    r = Kiss(validate_traces=True, inline=True).check_assertions(parse_core(src))
-    assert r.is_error
-    # the replay runs against the inlined clone, so validation still holds
-    assert r.trace_validated is True

@@ -134,15 +134,6 @@ def test_benign_annotation_through_cli(src_file):
     assert main(["race", src_file(src), "--target", "g"]) == EXIT_SAFE
 
 
-def test_inline_flag(src_file):
-    src = """
-    int g;
-    void bump() { g = g + 1; }
-    void main() { bump(); assert(g == 1); }
-    """
-    assert main(["check", src_file(src), "--inline"]) == EXIT_SAFE
-
-
 # -- the campaign subcommand --------------------------------------------------------
 
 

@@ -44,7 +44,9 @@ from repro.campaign import (
 )
 from repro.campaign.runtime import CampaignRuntime
 from repro.campaign.worker import execute_job
+from repro.concheck.interleave import check_concurrent
 from repro.faults import FaultPlan, FaultRule
+from repro.lang import parse_core
 from repro.schemas import validate_journal_record
 from repro.serve import CheckService, ServeConfig
 
@@ -202,6 +204,13 @@ def test_cancel_token_scope_and_poll(tmp_path):
                 cancel.poll()
         assert "first-error" in str(err.value)
     cancel.poll()  # no ambient token: a no-op
+
+
+def test_interleaving_checker_polls_for_cancellation(tmp_path):
+    token = cancel.CancelToken(str(tmp_path / "tok"))
+    token.cancel("deadline")
+    with cancel.scope(token), pytest.raises(cancel.Cancelled):
+        check_concurrent(parse_core(SRC.replace("VALUE", "2")))
 
 
 def test_execute_job_reports_a_cancelled_outcome(tmp_path):

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.concheck.interleave import check_concurrent
 from repro.lang import parse_core
 from repro.seqcheck.explicit import check_sequential
-from repro.seqcheck.trace import CheckStatus
 
 
 def run(src, **kw):
@@ -182,8 +182,10 @@ def test_indirect_call():
     assert r.is_safe
 
 
-def test_indirect_call_undefined_function_value():
-    r = run("void main() { func v; v(); }")
+@pytest.mark.parametrize("check", [check_sequential, check_concurrent],
+                         ids=["explicit", "interleaving"])
+def test_indirect_call_undefined_function_value(check):
+    r = check(parse_core("void main() { func v; v(); }"))
     assert r.is_error
     assert r.violation_kind == "undef-call"
 
