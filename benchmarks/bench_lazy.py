@@ -1,11 +1,10 @@
-"""Experiment E15 — eager vs lazy sequentialization, POR, and swarm tiling.
+"""Experiment E15 — lazy sequentialization, POR, and swarm tiling.
 
-Four ways to check the same K-round schedule set
+Three ways to check the same K-round schedule set
 (``docs/SEQUENTIALIZATION.md``, ``docs/SWARM.md``), measured on the
-handshake family of ``bench_rounds.py`` at each depth's first adequate
+handshake family (:func:`handshake`) at each depth's first adequate
 budget ``K = n + 1``:
 
-* ``rounds`` — the eager transform (versioned copies + snapshot guesses);
 * ``lazy`` — the pc-guarded lazy transform (one shared store, no guesses);
 * ``lazy+por`` — lazy with shared-access POR;
 * ``swarm x8`` — the lazy schedule space dealt into 8 cached tile jobs
@@ -13,9 +12,8 @@ budget ``K = n + 1``:
 
 Every mode must find every handshake error, and the swarm verdict must
 match monolithic lazy (the 8-tile plan is exhaustive at these sizes).
-A second workload pins the *coverage* separation: the
-``increment-chain`` corpus program communicates through computed values,
-so the eager transform misses it at any K while lazy finds it at K=3.
+A second workload, the ``increment-chain`` corpus program, communicates
+through computed values; every mode must find its error at K=3.
 
 Usage::
 
@@ -34,14 +32,27 @@ from repro.core.checker import Kiss
 from repro.lang import parse
 from repro.reporting import render_table
 
-from bench_rounds import handshake
-
 DEPTHS = [1, 2]
 TILES = 8
 SMOKE_MAX_STATES = 200_000
 FULL_MAX_STATES = 2_000_000
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fuzz_corpus"
+MODES = ("lazy", "lazy+por", "swarm x8")
+
+
+def handshake(n: int) -> str:
+    """A two-thread protocol alternating through x=1/y=1/../x=n/y=n
+    before the assert: the error needs 2n-1 context switches, so a
+    round-robin schedule finds it iff K >= n + 1.  Depth 2 is the corpus
+    program ``tests/fuzz_corpus/three-switch.kp``, invisible to KISS."""
+    w = " ".join(f"assume(x == {i}); y = {i};" for i in range(1, n + 1))
+    m = " ".join(f"x = {i}; assume(y == {i});" for i in range(1, n + 1))
+    return (
+        "int x; int y;\n"
+        f"void w() {{ {w} }}\n"
+        f"void main() {{ async w(); {m} assert(false); }}\n"
+    )
 
 
 def _check(source, strategy, rounds, max_states, por=False):
@@ -78,7 +89,6 @@ def _measure(max_states):
         source = handshake(n)
         k = n + 1
         cells = {
-            "rounds": _check(source, "rounds", k, max_states),
             "lazy": _check(source, "lazy", k, max_states),
             "lazy+por": _check(source, "lazy", k, max_states, por=True),
             "swarm x8": _swarm(source, k, max_states),
@@ -99,11 +109,9 @@ def _measure(max_states):
         # emits costs a few driver states — the verdict parity is the
         # invariant (tests/test_por.py), the counts are just reported
 
-    # the guess-domain separation: eager rounds misses the computed-value
-    # handshake at any K, lazy finds it at K=3
+    # the computed-value handshake: every mode finds it at K=3
     chain = (CORPUS / "increment-chain.kp").read_text()
     sep = {
-        "rounds": _check(chain, "rounds", 3, max_states),
         "lazy": _check(chain, "lazy", 3, max_states),
         "lazy+por": _check(chain, "lazy", 3, max_states, por=True),
         "swarm x8": _swarm(chain, 3, max_states),
@@ -114,21 +122,18 @@ def _measure(max_states):
                         "budget": 3, **cell})
         row.append(f"{cell['verdict']}/{cell['states']}/{cell['wall_s']:.2f}s")
     rows.append(row)
-    checks_ok &= sep["rounds"]["verdict"] == "safe"
-    checks_ok &= all(sep[m]["verdict"] == "error"
-                     for m in ("lazy", "lazy+por", "swarm x8"))
+    checks_ok &= all(sep[m]["verdict"] == "error" for m in MODES)
 
     print()
     print(render_table(
-        ["workload"] + [f"{m} (verdict/states/wall)"
-                        for m in ("rounds", "lazy", "lazy+por", "swarm x8")],
+        ["workload"] + [f"{m} (verdict/states/wall)" for m in MODES],
         rows,
-        title="E15: eager vs lazy vs POR vs swarm",
+        title="E15: lazy vs POR vs swarm",
     ))
 
     return {
         "schema": "kiss-bench/lazy/1",
-        "workload": "handshake family + increment-chain separation witness",
+        "workload": "handshake family + increment-chain",
         "tiles": TILES,
         "max_states": max_states,
         "results": results,

@@ -13,10 +13,7 @@ used here as a cheap partial-order reduction (POR):
   blocking/spawn points that can never be pruned);
 * :class:`repro.core.transform.KissTransformer` (``por=True``) drops the
   ``schedule(); choice{skip [] RAISE}`` prefix before purely-local
-  statements;
-* :class:`repro.rounds.transform.RoundRobinTransformer` (``por=True``)
-  leaves non-shared written globals unversioned (no snapshot copies, no
-  guesses, no advance points).
+  statements.
 
 The analysis is deliberately conservative — over-approximating the
 shared set only costs pruning, never soundness:

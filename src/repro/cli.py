@@ -4,8 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro check file.kp                 # assertion checking
     python -m repro check file.kp --max-ts 1
-    python -m repro rounds file.kp --rounds 3     # K-round sequentialization
-    python -m repro lazy file.kp --rounds 3       # lazy pc-guarded K rounds
+    python -m repro lazy file.kp --rounds 3       # K-round sequentialization
     python -m repro campaign --swarm file.kp      # N-tile swarm of one program
     python -m repro race file.kp --target g       # race on global g
     python -m repro race file.kp --target S.field # race on a struct field
@@ -119,27 +118,17 @@ def cmd_check(args) -> int:
     return _report(_kiss(args).check_assertions(prog), args)
 
 
-def cmd_rounds(args) -> int:
-    """The `rounds` subcommand: assertion checking through the K-round
-    sequentialization (see docs/SEQUENTIALIZATION.md).
-
-    ``--rounds 2`` subsumes the KISS coverage for two threads; larger
-    budgets cover executions with up to K-1 preemptions per thread.
-    The verdict line reports the round budget.
-    """
-    prog = _load(args.file)
-    return _report(_kiss(args).check_assertions(prog), args)
-
-
 def cmd_lazy(args) -> int:
     """The `lazy` subcommand: assertion checking through the lazy
     pc-guarded K-round sequentialization (see docs/SEQUENTIALIZATION.md).
 
-    Unlike eager ``rounds`` there are no snapshot guesses to get wrong —
-    the driver interprets one thread segment at a time over the single
+    ``--rounds 2`` subsumes the KISS coverage for two threads; larger
+    budgets cover executions with up to K-1 preemptions per thread.  The
+    driver interprets one thread segment at a time over the single
     shared store, so every reported error is a real K-round execution by
     construction.  ``--por`` prunes context-switch candidates at
-    statements that touch no shared global.
+    statements that touch no shared global.  The verdict line reports
+    the round budget.
     """
     prog = _load(args.file)
     return _report(_kiss(args).check_assertions(prog), args)
@@ -783,14 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser(
-        "rounds", help="check assertions through the K-round sequentialization"
-    )
-    common(sp)
-    sp.add_argument("--rounds", type=int, default=2,
-                    help="round budget K (default 2; K=1 is purely sequential)")
-    sp.set_defaults(func=cmd_rounds, strategy="rounds")
-
-    sp = sub.add_parser(
         "lazy",
         help="check assertions through the lazy pc-guarded K-round sequentialization",
     )
@@ -900,11 +881,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "with trace replay (false-race detection; KISS strategy only)")
     sp.add_argument("--strategy", choices=STRATEGIES, default="kiss",
                     help="sequentialization under test: the Figure 4 pipeline "
-                         "against balanced interleavings, or a K-round transform "
-                         "(eager 'rounds' or pc-guarded 'lazy') against all "
+                         "against balanced interleavings, or the pc-guarded "
+                         "K-round transform 'lazy' against all "
                          "interleavings (default kiss)")
     sp.add_argument("--rounds", type=int, default=2,
-                    help="round budget K for --strategy rounds/lazy (default 2)")
+                    help="round budget K for --strategy lazy (default 2)")
     sp.add_argument("--por", action="store_true",
                     help="shared-access partial-order reduction on the "
                          "sequential side (any strategy)")
@@ -1016,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
     wsp.add_argument("--strategy", choices=STRATEGIES, default="kiss",
                      help="sequentialization for FILE mode (default kiss)")
     wsp.add_argument("--rounds", type=int, default=2,
-                     help="round budget K for --strategy rounds/lazy (default 2)")
+                     help="round budget K for --strategy lazy (default 2)")
     wsp.add_argument("--max-ts", type=int, default=0, help="ts bound (default 0)")
     wsp.add_argument("--max-states", type=int, default=500_000, help="state budget")
     wsp.add_argument("--out", metavar="PATH",

@@ -9,8 +9,13 @@ constraint over the original concurrent program —
 * each ``step`` entry obliges the named thread to execute the named
   original statement next (navigation nodes in between are free),
 * ``spawn`` entries oblige the thread to execute the original ``async``,
-* ``access`` entries (race traces) oblige the thread to *reach and
-  execute* the access statement.
+* ``call``/``return`` entries (lazy traces) oblige the thread to execute
+  that call, or the return into it, right there; unmapped calls and
+  returns are free moves,
+* ``access`` entries (race traces) oblige the thread to *reach* the
+  access statement.  It is not executed: Figure 5 records or checks the
+  access *before* it, so a race whose access would block (a failing
+  ``assume``) is still real.
 
 Replay succeeds if the schedule is feasible, and for assertion traces if
 executing the final step raises the expected assertion violation.
@@ -75,10 +80,11 @@ class TraceReplayer:
     def _initial(self) -> ConWorld:
         return ConWorld(self.interp.initial_world(), [0], 1)
 
-    @staticmethod
-    def _observable(node: Node) -> bool:
+    def _observable(self, node: Node, step: PlanStep, cw: ConWorld, idx: int) -> bool:
         if node.kind in ("call", "return"):
-            return False  # the mapper folds calls/returns into contexts
+            # the KISS mapper folds calls/returns into contexts; the lazy
+            # mapper names the ones that move data
+            return step.kind == node.kind and self._matches(node, step, cw, idx)
         if node.kind == "skip":
             # user `skip;` statements are mapped steps; choice/iter heads
             # and other synthesized skips are free navigation
@@ -114,9 +120,11 @@ class TraceReplayer:
         node = self.pcfg.cfg(frame.func).node(frame.node)
         last = i == len(plan) - 1
 
-        if self._observable(node):
-            if not self._matches(node, step):
+        if self._observable(node, step, cw, idx):
+            if not self._matches(node, step, cw, idx):
                 return False
+            if step.kind == "access":
+                return self._dfs(cw, plan, i + 1, 0, expect, visited)
             try:
                 succs = cw.step(self.interp, idx, node)
             except Violation as v:
@@ -128,10 +136,6 @@ class TraceReplayer:
             for succ in succs:
                 if self._dfs(succ, plan, i + 1, 0, expect, visited):
                     return True
-            if not succs and last and expect == "feasible":
-                # the final access blocked (e.g. a trailing assume) — the
-                # statement was still reached; treat reaching it as enough
-                return False
             return False
 
         # navigation / call / return: free moves
@@ -144,9 +148,18 @@ class TraceReplayer:
                 return True
         return False
 
-    def _matches(self, node: Node, step: PlanStep) -> bool:
+    def _matches(self, node: Node, step: PlanStep, cw: ConWorld, idx: int) -> bool:
         if step.kind == "spawn":
             return node.kind == "async" and node.stmt.sid == step.sid
+        if step.kind == "call":
+            return node.kind == "call" and node.stmt.sid == step.sid
+        if step.kind == "return":
+            # a return step names the call it returns into
+            stack = cw.world.stacks[idx]
+            if node.kind != "return" or len(stack) < 2:
+                return False
+            caller = stack[-2]
+            return self.pcfg.cfg(caller.func).node(caller.node).stmt.sid == step.sid
         if node.kind == "async":
             return False
         return node.origin.sid == step.sid

@@ -39,10 +39,9 @@ class KissResult:
     assertion, or the backend's violation kind for memory errors.
 
     ``strategy``/``rounds``: which sequentialization produced the
-    verdict — ``"kiss"`` (Figure 4, ``rounds`` is None), ``"rounds"``
-    (the eager K-round transform of :mod:`repro.rounds`, ``rounds`` = K),
-    or ``"lazy"`` (the pc-guarded lazy transform of :mod:`repro.lazy`,
-    ``rounds`` = K).
+    verdict — ``"kiss"`` (Figure 4, ``rounds`` is None) or ``"lazy"``
+    (the pc-guarded K-round transform of :mod:`repro.lazy`, ``rounds``
+    = K).
     """
 
     verdict: str
@@ -141,14 +140,13 @@ class Kiss:
         safe check; it never changes the verdict.
     strategy:
         Which sequentialization to use for assertion checking:
-        ``"kiss"`` (default, Figure 4), ``"rounds"`` (the eager K-round
-        round-robin transform of :mod:`repro.rounds`), or ``"lazy"``
-        (the pc-guarded lazy round-robin transform of
-        :mod:`repro.lazy`; see ``docs/SEQUENTIALIZATION.md``).  Race
-        checking (Figure 5) is KISS-only.
+        ``"kiss"`` (default, Figure 4) or ``"lazy"`` (the pc-guarded
+        K-round round-robin transform of :mod:`repro.lazy`; see
+        ``docs/SEQUENTIALIZATION.md``).  Race checking (Figure 5) is
+        KISS-only.
     rounds:
-        The round budget K for ``strategy="rounds"``/``"lazy"``
-        (ignored for ``"kiss"``).  K=2 subsumes KISS's coverage for two
+        The round budget K for ``strategy="lazy"`` (ignored for
+        ``"kiss"``).  K=2 subsumes KISS's coverage for two
         threads.
     por:
         Opt-in shared-access partial-order reduction
@@ -214,10 +212,6 @@ class Kiss:
 
     def _transformer(self) -> KissTransformer:
         """The assertion-checking transformer for the configured strategy."""
-        if self.strategy == "rounds":
-            from repro.rounds import RoundRobinTransformer
-
-            return RoundRobinTransformer(rounds=self.rounds, max_ts=self.max_ts, por=self.por)
         if self.strategy == "lazy":
             from repro.lazy import LazyTransformer
 
@@ -289,11 +283,7 @@ class Kiss:
         ctrace = None
         if self.map_traces and result.is_error:
             with obs.span("trace-map"):
-                if target is None and self.strategy == "rounds":
-                    from repro.rounds.tracemap import map_result as rounds_map_result
-
-                    ctrace = rounds_map_result(pcfg, result)
-                elif target is None and self.strategy == "lazy":
+                if target is None and self.strategy == "lazy":
                     from repro.lazy.tracemap import map_result as lazy_map_result
 
                     ctrace = lazy_map_result(pcfg, result)
@@ -316,7 +306,7 @@ class Kiss:
                     transformed,
                     backend=self.backend,
                     strategy=strategy,
-                    rounds=self.rounds if strategy in ("rounds", "lazy") else None,
+                    rounds=self.rounds if strategy == "lazy" else None,
                     max_states=self.max_states,
                     cegar_rounds=self.cegar_rounds,
                     target=target.describe() if target is not None else None,
@@ -325,7 +315,7 @@ class Kiss:
             verdict=verdict,
             error_kind=error_kind,
             strategy=self.strategy if target is None else "kiss",
-            rounds=self.rounds if self.strategy in ("rounds", "lazy") and target is None else None,
+            rounds=self.rounds if self.strategy == "lazy" and target is None else None,
             target=target,
             backend_result=result,
             transformed=transformed,

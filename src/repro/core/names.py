@@ -19,33 +19,6 @@ CHECK_W_FN = PREFIX + "check_w"
 
 INDIRECT_FAMILY = PREFIX + "indirect"  # ts family for `async v()` (func var)
 
-# K-round (Lal–Reps) sequentialization (repro.rounds)
-RR_ERR_VAR = PREFIX + "rr_err"  # deferred assertion-failure flag
-RR_RUN_FN = PREFIX + "rr_run"  # end-of-main dispatch loop over parked threads
-
-
-def rr_in_round(k: int) -> str:
-    """One-hot flag: the running thread is currently in round ``k``.
-    (Booleans, not an int counter: the predicate-abstraction backend
-    handles boolean guards far more cheaply than int comparisons.)"""
-    return f"{PREFIX}in_r{k}"
-
-
-def rr_global(name: str, k: int) -> str:
-    """Round-``k`` copy of shared global ``name`` (round 0 is the
-    original global itself)."""
-    return f"{PREFIX}r{k}_{name}"
-
-
-def rr_guess(name: str, k: int) -> str:
-    """Saved snapshot guess for ``name`` at entry of round ``k``."""
-    return f"{PREFIX}g{k}_{name}"
-
-
-def ts_slot_round(family: str, slot: int, k: int) -> str:
-    """Round-``k`` spawn flag of the thread parked in ``slot``."""
-    return f"{PREFIX}ts_{family}_{slot}_r{k}"
-
 
 def ts_count(family: str) -> str:
     """Per-family element count (`|{parked threads with start fn family}|`)."""
@@ -95,3 +68,11 @@ def lz_local(t: int, name: str) -> str:
     """Promoted per-instance copy of local/param ``name`` (locals must
     survive across segment boundaries, so they become globals)."""
     return f"{PREFIX}lz{t}_{name}"
+
+
+def lz_frame(t: int, sid: int, name: str) -> str:
+    """Promoted copy of local/param ``name`` of the function called at
+    call site ``sid`` by instance ``t``.  Calls are flattened into the
+    caller's instance and recursion is rejected, so one copy per call
+    site holds every activation."""
+    return f"{PREFIX}lzc{t}_{sid}_{name}"

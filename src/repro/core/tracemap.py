@@ -47,8 +47,10 @@ class PlanStep:
 
     ``kind`` is ``"step"`` (an original statement executed by ``tid``),
     ``"spawn"`` (the point where ``tid`` executed the original ``async``),
-    or ``"access"`` (a recorded read/write of the race target — race
-    traces end with two of these from different threads).
+    ``"access"`` (a recorded read/write of the race target — race
+    traces end with two of these from different threads), or
+    ``"call"``/``"return"`` (the lazy mapper's call and result-write
+    steps; ``sid`` is the call statement's).
     """
 
     tid: int
@@ -57,7 +59,7 @@ class PlanStep:
     text: str = ""
 
     def __str__(self) -> str:
-        marker = {"spawn": " [spawn]", "access": " [access]"}.get(self.kind, "")
+        marker = f" [{self.kind}]" if self.kind != "step" else ""
         return f"t{self.tid}{marker}: {self.text or f'stmt#{self.sid}'}"
 
 

@@ -36,24 +36,17 @@ the *safe* side: every conclusive safe agreement must come with a
 (:mod:`repro.witness`).  A refuted certificate is the
 :data:`UNCERTIFIED` divergence.
 
-``strategy="rounds"`` cross-checks the K-round sequentialization
-(:mod:`repro.rounds`) instead.  The rounds transform has no balanced
+``strategy="lazy"`` cross-checks the pc-guarded K-round
+sequentialization (:mod:`repro.lazy`) instead.  It has no balanced
 analogue of Theorem 1, so the concurrent side explores *all*
-interleavings; a concurrent error the rounds pipeline misses is then a
-*coverage gap* (K too small, or a snapshot value outside the finite
-guess domain) — recorded but **not** a divergence.  A rounds error
-without any concurrent witness still is (:data:`UNSOUND`): the
-consistency epilogue claims every reported error is a real round-robin
-execution.
-
-``strategy="lazy"`` cross-checks the pc-guarded lazy sequentialization
-(:mod:`repro.lazy`) the same way: all interleavings on the concurrent
-side, with a concurrent-only error recorded as a *coverage gap* of the
-K-round schedule bound.  Unlike eager rounds there is no guess domain —
-a lazy coverage gap always means K was too small.
+interleavings; a concurrent error the lazy pipeline misses is then a
+*coverage gap* of the K-round schedule bound (K too small) — recorded
+but **not** a divergence.  A lazy error without any concurrent witness
+still is (:data:`UNSOUND`): every execution of the lazy program is a
+real round-robin execution.
 
 In KISS mode, every :data:`INCOMPLETE` divergence is additionally
-probed with the rounds transform at ``K = 3``: Figure 4 covers two
+probed with the lazy transform at ``K = 3``: Figure 4 covers two
 context switches, so a balanced error that KISS misses but three rounds
 catch localizes the miss to the context-switch budget rather than a
 pipeline bug (``closed_by_rounds``).
@@ -70,7 +63,6 @@ from repro.concheck import check_concurrent
 from repro.core.race import RaceTarget
 from repro.core.transform import KissTransformer
 from repro.lazy import LazyTransformer
-from repro.rounds import RoundRobinTransformer
 from repro.schemas import STRATEGIES
 from repro.lang import parse, parse_core
 from repro.lang.ast import Program
@@ -106,11 +98,11 @@ class OracleVerdict:
     con_states: int = 0
     seq_states: int = 0
     race_verdict: Optional[str] = None
-    #: rounds mode: a concurrent error the K-round pipeline missed —
-    #: expected incompleteness (bounded K / finite guess domain), not a bug.
+    #: lazy mode: a concurrent error the K-round pipeline missed —
+    #: expected incompleteness (bounded K), not a bug.
     coverage_gap: bool = False
     #: KISS mode, on an :data:`INCOMPLETE` divergence: did the K=3
-    #: rounds probe catch the missed error?  None = probe inconclusive.
+    #: lazy probe catch the missed error?  None = probe inconclusive.
     closed_by_rounds: Optional[bool] = None
     #: witness mode, on a conclusive safe agreement: the independent
     #: validator's verdict on the emitted certificate (``"certified"`` /
@@ -203,8 +195,6 @@ def differential_check(
     with obs.span("oracle-sequential", max_ts=max_ts):
         if transformer_factory is not None:
             factory = transformer_factory
-        elif strategy == "rounds":
-            factory = lambda ts: RoundRobinTransformer(rounds=rounds, max_ts=ts, por=por)
         elif strategy == "lazy":
             factory = lambda ts: LazyTransformer(rounds=rounds, max_ts=ts, por=por)
         else:
@@ -228,24 +218,22 @@ def differential_check(
                 f"({seq.message}) but no {witness} goes wrong"
             )
         elif v.concurrent == "error" and v.sequential == "safe":
-            if strategy in ("rounds", "lazy"):
-                # Expected incompleteness: the round budget (and, for
-                # eager rounds, the finite guess domain) missed the
+            if strategy == "lazy":
+                # Expected incompleteness: the round budget missed the
                 # erroneous interleaving.
                 v.coverage_gap = True
-                what = "round-robin" if strategy == "rounds" else "lazy round-robin"
                 v.detail = (
                     f"concurrent execution reported '{con.violation_kind}' "
-                    f"({con.message}) outside the K={rounds} {what} coverage"
+                    f"({con.message}) outside the K={rounds} lazy round-robin coverage"
                 )
-                obs.inc(f"{strategy}_coverage_gaps")
+                obs.inc("lazy_coverage_gaps")
             else:
                 v.divergence = INCOMPLETE
                 v.detail = (
                     f"balanced concurrent execution reported '{con.violation_kind}' "
                     f"({con.message}) but the sequential pipeline found no error"
                 )
-                _rounds_probe(core, max_ts, max_states, v)
+                _rounds_probe(core, max_states, v)
     if race_global is not None and not v.diverged:
         _race_check(core, max_ts, max_states, race_global, v)
     if witness and not v.diverged and v.conclusive and v.sequential == "safe":
@@ -268,7 +256,7 @@ def _witness_check(
             transformed,
             backend="explicit",
             strategy=strategy,
-            rounds=rounds if strategy in ("rounds", "lazy") else None,
+            rounds=rounds if strategy == "lazy" else None,
             max_states=max_states,
         )
         if doc is None:
@@ -282,13 +270,13 @@ def _witness_check(
         v.detail = f"safe verdict but its certificate is refuted: {report}"
 
 
-def _rounds_probe(core: Program, max_ts: int, max_states: int, v: OracleVerdict) -> None:
+def _rounds_probe(core: Program, max_states: int, v: OracleVerdict) -> None:
     """On an INCOMPLETE divergence, ask whether three rounds see the
     error Figure 4's two context switches missed — separating budget
     misses from genuine pipeline bugs."""
     with obs.span("oracle-rounds-probe", rounds=3):
         try:
-            transformed = RoundRobinTransformer(rounds=3, max_ts=max_ts).transform(core)
+            transformed = LazyTransformer(rounds=3).transform(core)
             probe = SequentialChecker(
                 build_program_cfg(transformed), max_states=max_states
             ).check()

@@ -43,7 +43,7 @@ class Divergence:
     source: str
     shrunk_source: str
     shrunk_stmts: int
-    #: KISS-mode INCOMPLETE findings: did the K=3 rounds probe catch the
+    #: KISS-mode INCOMPLETE findings: did the K=3 lazy probe catch the
     #: error Figure 4 missed?  None = probe inconclusive / not run.
     closed_by_rounds: Optional[bool] = None
 
@@ -62,7 +62,7 @@ class FuzzReport:
     seed: int
     agreed: int = 0
     inconclusive: int = 0
-    #: rounds mode: concurrent errors outside the K-round coverage —
+    #: lazy mode: concurrent errors outside the K-round coverage —
     #: expected incompleteness, counted but not findings.
     coverage_gaps: int = 0
     divergences: List[Divergence] = field(default_factory=list)
@@ -101,9 +101,9 @@ def fuzz_jobs(
     Each job's ``max_ts`` equals the program's fork count, making the
     Theorem 1 comparison exact; ``fuzz_race`` (when ``race`` is set)
     additionally enables the false-race replay check on the generator's
-    distinguished location.  ``strategy="rounds"`` / ``"lazy"``
-    cross-check the K-round sequentializations against *all*
-    interleavings instead (no race mode there).  ``por`` turns on the
+    distinguished location.  ``strategy="lazy"`` cross-checks the
+    K-round sequentialization against *all* interleavings instead (no
+    race mode there).  ``por`` turns on the
     shared-access reduction in the sequential pipeline.  ``fuzz_witness``
     (when ``witness`` is set) adds the certificate cross-check on safe
     agreements (see :data:`repro.fuzz.oracle.UNCERTIFIED`).  All of
@@ -216,7 +216,7 @@ def _minimize(
     closed: Optional[bool] = None
     try:
         # One in-process rerun: the worker's verdict crossed a process
-        # boundary as a string, but the rounds-probe outcome matters for
+        # boundary as a string, but the K=3 probe outcome matters for
         # triage, so recover it from the live OracleVerdict.
         closed = oracle(job.source).closed_by_rounds
     except Exception:

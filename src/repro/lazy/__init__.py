@@ -1,12 +1,11 @@
 """Lazy pc-guarded K-round sequentialization (Lazy-CSeq style).
 
-Where :mod:`repro.rounds` eagerly guesses round-entry snapshots and
-validates them after the fact, this package interprets the round-robin
-schedule in its real order: per-instance one-hot pc flags, step
-functions that resume each thread at its saved pc, and an unrolled
-K-segment driver.  Shared globals always hold true values, so asserts
-fail on the spot and coverage is not limited by any guess domain.  See
-``docs/SEQUENTIALIZATION.md`` and ``docs/SWARM.md``.
+This package interprets the round-robin schedule in its real order:
+per-instance one-hot pc flags, step functions that resume each thread
+at its saved pc, and an unrolled K-segment driver.  Shared globals
+always hold true values, so asserts fail on the spot and nothing is
+guessed.  Direct, non-recursive calls are flattened into the calling
+thread.  See ``docs/SEQUENTIALIZATION.md`` and ``docs/SWARM.md``.
 """
 
 from .transform import (

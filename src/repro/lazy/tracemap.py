@@ -1,20 +1,21 @@
 """Mapping lazy sequential error traces back to concurrent interleavings.
 
 The lazy transform executes the round-robin schedule in its real order,
-so — unlike the eager K-round mapper, which must sort thread-major
-segments into round-major order — this mapper is a transliteration: walk
-the sequential trace once, and every payload node (an original statement
-executing inside some ``__kiss_lz_step<t>``) is the next step of
-instance ``t``'s thread, in exactly the interleaved order the schedule
-ran it.
+so this mapper is a transliteration: walk the sequential trace once, and
+every payload node (an original statement executing inside some
+``__kiss_lz_step<t>``) is the next step of instance ``t``'s thread, in
+exactly the interleaved order the schedule ran it.
 
 Thread ids are assigned the way :mod:`repro.concheck.replay` assigns
 them: the entry instance is tid 0, and each ``TAG_LZ_SPAWN`` marker (the
 ``skip`` emitted at a spawn node, carrying the ``async`` statement's sid
 and the child's static instance index) allocates the next tid in
-dynamic spawn order.  An error trace already ends at the failing
-``assert`` — lazy has no deferred error flag — so no truncation pass is
-needed.
+dynamic spawn order.  A flattened call's binding node and result write
+map to ``call``/``return`` steps carrying the call's sid: both read or
+write data (arguments, the result's target), so the replayer must take
+them exactly where the schedule did.  An error trace already ends at the
+failing ``assert`` — lazy has no deferred error flag — so no truncation
+pass is needed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from repro.core import names
 from repro.core.tracemap import ConcurrentTrace, PlanStep, TraceMapError
 from repro.seqcheck.trace import CheckResult, TraceStep
 
-from .transform import TAG_LZ_SPAWN
+from .transform import TAG_LZ_CALL, TAG_LZ_RETURN, TAG_LZ_SPAWN
+
+#: tagged nodes that map to call/return plan steps
+_FRAME_STEPS = {TAG_LZ_CALL: "call", TAG_LZ_RETURN: "return"}
 
 _STEP_PREFIX = names.PREFIX + "lz_step"
 
@@ -68,6 +72,8 @@ def map_trace(pcfg: ProgramCfg, trace: List[TraceStep]) -> ConcurrentTrace:
             tids[child] = next_tid
             next_tid += 1
             out.steps.append(PlanStep(cur, origin.sid, "spawn", origin.text))
+        elif origin.tag in _FRAME_STEPS:
+            out.steps.append(PlanStep(cur, origin.sid, _FRAME_STEPS[origin.tag], origin.text))
         elif origin.tag == "user" and origin.sid:
             out.steps.append(PlanStep(cur, origin.sid, "step", origin.text))
     return out

@@ -1,12 +1,8 @@
 """The lazy pc-guarded round-robin sequentialization (Lazy-CSeq style).
 
-Where :mod:`repro.rounds` is *eager* — each thread runs all of its K
-rounds contiguously against nondeterministically guessed round-entry
-snapshots, validated by a consistency epilogue — this transform is
-*lazy*: the emitted sequential program executes the round-robin schedule
-in its real order, so the shared globals always hold their true values
-and no guessing (and no finite guess domain, the eager transform's
-documented coverage hole) is needed.
+The emitted sequential program executes the round-robin schedule in its
+real order, so the shared globals always hold their true values and no
+round-entry snapshot has to be guessed.
 
 The encoding is a CFG interpreter with one-hot boolean pc flags:
 
@@ -18,6 +14,13 @@ The encoding is a CFG interpreter with one-hot boolean pc flags:
   statement (``skip``/assign/``assert``/``assume``/``atomic``), one per
   ``choice``/``iter`` head (no payload, several successors), one per
   ``async`` site (the spawn arms the child's entry flag);
+* a direct, non-recursive ``call`` is flattened into the caller's
+  instance: one node binds every parameter and resets every callee
+  local in a single ``atomic`` (the one call step of the concurrent
+  semantics), the callee's body follows, and every ``return`` jumps to
+  the call's continuation — through one node writing the result when
+  the call has a left-hand side (the type default when the callee falls
+  off its end).  Callee locals are promoted per (instance, call site);
 * instance ``t`` gets a step function ``__kiss_lz_step<t>()``: a single
   ``choice`` with one branch per node — ``assume`` the node's pc flag,
   clear it, run the payload, set a successor flag (``__kiss_lz_done<t>``
@@ -56,21 +59,20 @@ Stopping "at entry" (spawned but no step taken), ``off`` (never
 spawned) and ``done`` are always allowed — they encode "this instance
 was not scheduled (further)", which every schedule may do.
 
-The transform supports the scalar call-free fragment: no ``call``
-statements (synchronous calls would need a promoted stack; inline
-first — though note the inliner's argument binds would break trace
-mapping, so lazy drivers are written call-free), no heap
-(``malloc``/pointers/fields), ``int``/``bool`` variables only, direct
-``async`` targets only, no ``async`` under ``iter`` or inside
-``atomic`` (instances are static), and no spawn cycles.  Division *is*
-allowed — there are no unvalidated guesses to make it spurious.
+The transform supports the scalar fragment: no heap
+(``malloc``/pointers/fields), ``int``/``bool`` variables and results
+only, direct non-recursive calls only, direct ``async`` targets only,
+no ``async`` under ``iter`` or inside ``atomic`` (instances are
+static), and no spawn cycles.  Everything else raises
+:class:`~repro.core.transform.TransformError` naming ``strategy="kiss"``,
+which checks the whole language.  Division *is* allowed.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.lang.ast import (
@@ -111,6 +113,8 @@ from repro.core.transform import KissTransformer, TransformError, _tag
 from repro.lang.lower import clone_program, is_core_program
 
 TAG_LZ_SPAWN = "lz-spawn"  # skip marker at a spawn node (carries the async sid)
+TAG_LZ_CALL = "lz-call"  # a call's binding node (carries the call sid)
+TAG_LZ_RETURN = "lz-return"  # a call's result write (carries the call sid)
 
 #: Sentinel pc: the instance ran past its last statement.
 DONE = -1
@@ -122,6 +126,11 @@ def _default_init(typ: Type) -> Expr:
     if isinstance(typ, BoolType):
         return BoolLit(False)
     raise TransformError(f"lazy: cannot default-initialize type {typ}")
+
+
+def _unsupported(what: str) -> TransformError:
+    """A dropped input: the error names the strategy that accepts it."""
+    return TransformError(f"lazy: {what}; use strategy='kiss'")
 
 
 @dataclass
@@ -144,6 +153,8 @@ class _Instance:
     chain: tuple  # ancestor function names, for spawn-cycle detection
     entry: int = DONE
     nodes: List[_Node] = dc_field(default_factory=list)
+    #: promoted callee locals and params (:func:`names.lz_frame`) -> type
+    frames: Dict[str, Type] = dc_field(default_factory=dict)
 
 
 class LazyTransformer(KissTransformer):
@@ -207,11 +218,12 @@ class LazyTransformer(KissTransformer):
         out = clone_program(prog)
         self.prog = out
 
+        self._src = prog
         self._spawn_child: Dict[int, int] = {}  # id(AsyncCall) -> child instance
+        # id(Call) -> (renamed private copy of the callee, its name mapping)
+        self._callees: Dict[int, Tuple[FuncDecl, Dict[str, str]]] = {}
         self.instances = self._build_instances(prog)
         for inst in self.instances:
-            self._check_instance(inst)
-            self._rename_locals(inst)
             self._flatten(inst)
 
         shared: Optional[Set[str]] = None
@@ -249,25 +261,23 @@ class LazyTransformer(KissTransformer):
         except KeyError:
             raise TransformError(f"unknown entry function '{prog.entry}'") from None
         if entry_decl.params:
-            raise TransformError("lazy: entry function with parameters is unsupported")
+            raise _unsupported("entry function with parameters is unsupported")
         instances = [
             _Instance(0, prog.entry, copy.deepcopy(entry_decl), chain=(prog.entry,))
         ]
         i = 0
         while i < len(instances):
             inst = instances[i]
-            for s in walk_stmts(inst.decl.body):
+            self._prepare(inst)
+            for s in self._walk(inst.decl.body):
                 if not isinstance(s, AsyncCall):
                     continue
                 target = s.func.name
-                local_names = set(inst.decl.locals) | {p.name for p in inst.decl.params}
-                if target not in prog.functions or target in local_names or target in prog.globals:
-                    raise TransformError(
-                        f"lazy: async target '{target}' is not a direct function name"
-                    )
+                if target not in prog.functions:
+                    raise _unsupported(f"async target '{target}' is not a direct function name")
                 if target in inst.chain:
-                    raise TransformError(
-                        f"lazy: spawn cycle through '{target}' "
+                    raise _unsupported(
+                        f"spawn cycle through '{target}' "
                         f"(instance tree must be finite): {' -> '.join(inst.chain)}"
                     )
                 child = _Instance(
@@ -281,61 +291,102 @@ class LazyTransformer(KissTransformer):
             i += 1
         return instances
 
+    def _prepare(self, inst: _Instance) -> None:
+        """Check the instance's function, promote its locals, and give
+        every call it makes (transitively) a private callee copy."""
+        t = inst.index
+        self._check_decl(inst.func, inst.decl)
+        self._rename(inst.decl.body, self._promotions(inst.decl, lambda n: names.lz_local(t, n)))
+        self._expand_calls(inst, inst.decl, (inst.func,))
+        for s in self._walk(inst.decl.body):
+            if not isinstance(s, (Iter, Atomic)):
+                continue
+            where = "iter" if isinstance(s, Iter) else "atomic"
+            for inner in self._walk(s.body):
+                if isinstance(inner, AsyncCall):
+                    raise _unsupported(
+                        f"async under {where} in '{inst.func}' is unsupported "
+                        "(thread instances must be static)"
+                    )
+                if isinstance(inner, Call) and where == "atomic":
+                    raise _unsupported(f"call inside atomic in '{inst.func}' is unsupported")
+
+    def _expand_calls(self, inst: _Instance, decl: FuncDecl, chain: tuple) -> None:
+        for s in walk_stmts(decl.body):
+            if not isinstance(s, Call):
+                continue
+            target = s.func.name
+            if target not in self._src.functions:
+                raise _unsupported(
+                    f"indirect call through '{target}' in '{chain[-1]}' is unsupported"
+                )
+            if target in chain:
+                raise _unsupported(
+                    f"recursive call of '{target}' is unsupported: {' -> '.join(chain + (target,))}"
+                )
+            callee = copy.deepcopy(self._src.functions[target])
+            self._check_decl(target, callee)
+            mapping = self._promotions(callee, lambda n: names.lz_frame(inst.index, s.sid, n))
+            self._rename(callee.body, mapping)
+            for p in callee.params:
+                inst.frames[mapping[p.name]] = p.type
+            for lname, typ in callee.locals.items():
+                inst.frames[mapping[lname]] = typ
+            self._callees[id(s)] = (callee, mapping)
+            self._expand_calls(inst, callee, chain + (target,))
+
+    def _walk(self, body: Stmt):
+        """``walk_stmts``, descending into each call's callee copy."""
+        for s in walk_stmts(body):
+            yield s
+            if isinstance(s, Call):
+                yield from self._walk(self._callees[id(s)][0].body)
+
     # -- restrictions -----------------------------------------------------------------
 
     @staticmethod
     def _check_globals(prog: Program) -> None:
         for g in prog.globals.values():
             if not isinstance(g.type, (IntType, BoolType)):
-                raise TransformError(
-                    f"lazy: global '{g.name}' has unsupported type {g.type} "
+                raise _unsupported(
+                    f"global '{g.name}' has unsupported type {g.type} "
                     "(int/bool scalar fragment only)"
                 )
 
-    def _check_instance(self, inst: _Instance) -> None:
-        decl = inst.decl
+    @staticmethod
+    def _check_decl(func: str, decl: FuncDecl) -> None:
+        if decl.ret is not None and not isinstance(decl.ret, (IntType, BoolType)):
+            raise _unsupported(f"'{func}' has unsupported return type {decl.ret}")
         for p in decl.params:
             if not isinstance(p.type, (IntType, BoolType)):
-                raise TransformError(
-                    f"lazy: parameter '{p.name}' of '{inst.func}' has unsupported type {p.type}"
+                raise _unsupported(
+                    f"parameter '{p.name}' of '{func}' has unsupported type {p.type}"
                 )
         for name, typ in decl.locals.items():
             if not isinstance(typ, (IntType, BoolType)):
-                raise TransformError(
-                    f"lazy: local '{name}' of '{inst.func}' has unsupported type {typ}"
-                )
+                raise _unsupported(f"local '{name}' of '{func}' has unsupported type {typ}")
         for s in walk_stmts(decl.body):
-            if isinstance(s, Call):
-                raise TransformError(
-                    f"lazy: call statement in '{inst.func}' is unsupported "
-                    "(the lazy fragment is call-free; inline by hand)"
-                )
             if isinstance(s, Malloc):
-                raise TransformError(f"lazy: malloc in '{inst.func}' is unsupported (no heap)")
-            if isinstance(s, (Iter, Atomic)):
-                for inner in walk_stmts(s.body):
-                    if isinstance(inner, AsyncCall):
-                        where = "iter" if isinstance(s, Iter) else "atomic"
-                        raise TransformError(
-                            f"lazy: async under {where} in '{inst.func}' is unsupported "
-                            "(thread instances must be static)"
-                        )
+                raise _unsupported(f"malloc in '{func}' is unsupported (no heap)")
             for e in stmt_exprs(s):
                 for sub in walk_exprs(e):
                     if isinstance(sub, Field):
-                        raise TransformError(
-                            f"lazy: field access in '{inst.func}' is unsupported (no heap)"
-                        )
+                        raise _unsupported(f"field access in '{func}' is unsupported (no heap)")
                     if isinstance(sub, Unary) and sub.op in ("*", "&"):
-                        raise TransformError(
-                            f"lazy: pointer operation in '{inst.func}' is unsupported (no heap)"
+                        raise _unsupported(
+                            f"pointer operation in '{func}' is unsupported (no heap)"
                         )
 
     # -- local promotion --------------------------------------------------------------
 
-    def _rename_locals(self, inst: _Instance) -> None:
-        mapping = {n: names.lz_local(inst.index, n) for n in inst.decl.locals}
-        mapping.update({p.name: names.lz_local(inst.index, p.name) for p in inst.decl.params})
+    @staticmethod
+    def _promotions(decl: FuncDecl, promote) -> Dict[str, str]:
+        mapping = {n: promote(n) for n in decl.locals}
+        mapping.update({p.name: promote(p.name) for p in decl.params})
+        return mapping
+
+    @staticmethod
+    def _rename(body: Block, mapping: Dict[str, str]) -> None:
         if not mapping:
             return
 
@@ -348,14 +399,16 @@ class LazyTransformer(KissTransformer):
                 return Binary(e.op, ren(e.left), ren(e.right))
             return e
 
-        for s in walk_stmts(inst.decl.body):
+        for s in walk_stmts(body):
             if isinstance(s, Assign):
                 s.lhs = ren(s.lhs)
                 s.rhs = ren(s.rhs)
             elif isinstance(s, (Assert, Assume)):
                 s.cond = ren(s.cond)
-            elif isinstance(s, AsyncCall):
+            elif isinstance(s, (AsyncCall, Call)):
                 s.args = [ren(a) for a in s.args]
+                if isinstance(s, Call) and s.lhs is not None:
+                    s.lhs = ren(s.lhs)
             elif isinstance(s, Return):
                 if s.value is not None:
                     s.value = ren(s.value)
@@ -364,8 +417,10 @@ class LazyTransformer(KissTransformer):
 
     def _flatten(self, inst: _Instance) -> None:
         self._cur = inst
+        # innermost call being flattened last: (call, callee copy, continuation)
+        self._returns: List[Tuple[Call, FuncDecl, int]] = []
         inst.entry = self._flat_seq(inst.decl.body.stmts, DONE)
-        del self._cur
+        del self._cur, self._returns
 
     def _new_node(self) -> _Node:
         node = _Node(pc=len(self._cur.nodes))
@@ -392,7 +447,15 @@ class LazyTransformer(KissTransformer):
             head.succs = [body_entry, follow]
             return head.pc
         if isinstance(s, Return):
-            return DONE  # no node: returning is not an observable step
+            if not self._returns:
+                return DONE  # the thread finishes: not an observable step
+            call, callee, cont = self._returns[-1]
+            if call.lhs is None:
+                return cont
+            value = s.value if s.value is not None else _default_init(callee.ret)
+            return self._result_node(call, value, cont)
+        if isinstance(s, Call):
+            return self._flat_call(s, follow)
         if isinstance(s, AsyncCall):
             node = self._new_node()
             node.spawn = s
@@ -404,6 +467,34 @@ class LazyTransformer(KissTransformer):
             node.succs = [follow]
             return node.pc
         raise TransformError(f"lazy: cannot flatten statement {type(s).__name__}")
+
+    def _flat_call(self, call: Call, follow: int) -> int:
+        """The binding node, then the callee's body; falling off its end
+        continues at ``follow`` (through a default-result write when the
+        call has a left-hand side)."""
+        callee, mapping = self._callees[id(call)]
+        end = follow
+        if call.lhs is not None:
+            end = self._result_node(call, _default_init(callee.ret), follow)
+        self._returns.append((call, callee, follow))
+        body_entry = self._flat_seq(callee.body.stmts, end)
+        self._returns.pop()
+        binds: List[Stmt] = [
+            _tag(Assign(Var(mapping[p.name]), arg)) for p, arg in zip(callee.params, call.args)
+        ]
+        binds += [
+            _tag(Assign(Var(mapping[n]), _default_init(typ))) for n, typ in callee.locals.items()
+        ]
+        node = self._new_node()
+        node.payload = _tag(Atomic(Block(binds)) if binds else Skip(), TAG_LZ_CALL, sid=call.sid)
+        node.succs = [body_entry]
+        return node.pc
+
+    def _result_node(self, call: Call, value: Expr, follow: int) -> int:
+        node = self._new_node()
+        node.payload = _tag(Assign(Var(call.lhs.name), value), TAG_LZ_RETURN, sid=call.sid)
+        node.succs = [follow]
+        return node.pc
 
     # -- step functions ---------------------------------------------------------------
 
@@ -544,6 +635,8 @@ class LazyTransformer(KissTransformer):
                 out.globals[pname] = GlobalDecl(pname, p.type, _default_init(p.type))
             for lname, typ in inst.decl.locals.items():
                 gname = names.lz_local(t, lname)
+                out.globals[gname] = GlobalDecl(gname, typ, _default_init(typ))
+            for gname, typ in inst.frames.items():
                 out.globals[gname] = GlobalDecl(gname, typ, _default_init(typ))
 
 

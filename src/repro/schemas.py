@@ -75,12 +75,11 @@ SERVE_CACHE_STATES = ("hit", "miss", "dedup", "off", "aggregate")
 VERDICTS = ("safe", "error", "resource-bound")
 
 #: The sequentialization strategies every layer agrees on: ``kiss``
-#: (Figure 4, two context switches), ``rounds`` (the eager K-round
-#: transform of :mod:`repro.rounds`), and ``lazy`` (the pc-guarded lazy
-#: round-robin transform of :mod:`repro.lazy`).  Consumed by the CLI's
-#: ``choices=``, :class:`repro.core.checker.Kiss`, the fuzz oracle, and
-#: the campaign cache key — adding a strategy is a one-line change here.
-STRATEGIES = ("kiss", "rounds", "lazy")
+#: (Figure 4, two context switches) and ``lazy`` (the pc-guarded lazy
+#: K-round round-robin transform of :mod:`repro.lazy`).  Consumed by the
+#: CLI's ``choices=``, :class:`repro.core.checker.Kiss`, the fuzz
+#: oracle, and the campaign cache key.
+STRATEGIES = ("kiss", "lazy")
 
 
 class SchemaError(ValueError):

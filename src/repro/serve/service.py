@@ -83,6 +83,7 @@ from repro.campaign.journal import replay as journal_replay
 from repro.campaign.runtime import CampaignConfig, CampaignRuntime
 from repro.campaign.swarm import SwarmReport, TilePlan, aggregate, plan_tiles, swarm_jobs
 from repro.campaign.telemetry import Telemetry
+from repro.core.checker import Kiss
 from repro.faults import FaultPlan
 from repro.obs import make_event
 from repro.schemas import SERVE_SCHEMA, validate_serve_event
@@ -713,10 +714,13 @@ class CheckService:
         if not isinstance(driver, str) or not driver:
             raise AdmissionError(400, "'driver' must be a non-empty string")
         try:
-            return CheckJob(job_id=job_id, driver=driver, source=program,
-                            prop=prop, target=target, config=dict(config))
-        except ValueError as exc:
-            raise AdmissionError(400, str(exc))
+            job = CheckJob(job_id=job_id, driver=driver, source=program,
+                           prop=prop, target=target, config=dict(config))
+            # refuse bad config values here, not as a retried crash later
+            Kiss(**job.kiss_kwargs())
+        except (ValueError, TypeError) as exc:
+            raise AdmissionError(400, f"invalid config: {exc}")
+        return job
 
     # -- completion and event fan-out --------------------------------------------
 

@@ -60,9 +60,9 @@ def emit_witness(
     except Exception:
         return None
     if backend == "cegar":
-        built = _emit_predicates(canon, cegar_rounds, rounds)
+        built = _emit_predicates(canon, cegar_rounds)
     else:
-        built = _emit_reached(canon, max_states, rounds)
+        built = _emit_reached(canon, max_states)
     if built is None:
         return None
     kind, invariant, ghost, meta = built
@@ -85,8 +85,7 @@ def emit_witness(
     return doc
 
 
-def _emit_reached(canon: Program, max_states: int,
-                  rounds: Optional[int]) -> Optional[Tuple[str, dict, dict, dict]]:
+def _emit_reached(canon: Program, max_states: int) -> Optional[Tuple[str, dict, dict, dict]]:
     """Re-run the explicit checker on the canonical reparse collecting
     its single-step-closed reached-set."""
     pcfg = build_program_cfg(canon)
@@ -105,7 +104,7 @@ def _emit_reached(canon: Program, max_states: int,
     except EncodeError:
         return None
     invariant = {"states": encoded}
-    ghost = reached_ghost(frozen_states, canon, pcfg, rounds)
+    ghost = reached_ghost(frozen_states, canon, pcfg)
     meta = {
         "states": len(encoded),
         "explored_states": result.stats.states,
@@ -114,8 +113,7 @@ def _emit_reached(canon: Program, max_states: int,
     return ("reached-set", invariant, ghost, meta)
 
 
-def _emit_predicates(canon: Program, cegar_rounds: int,
-                     rounds: Optional[int]) -> Optional[Tuple[str, dict, dict, dict]]:
+def _emit_predicates(canon: Program, cegar_rounds: int) -> Optional[Tuple[str, dict, dict, dict]]:
     """Re-run the full CEGAR loop on the canonical reparse collecting the
     final safe abstraction as a predicate invariant."""
     try:
@@ -144,7 +142,7 @@ def _emit_predicates(canon: Program, cegar_rounds: int,
     except EncodeError:
         return None
     invariant = {"predicates": predicates, "locations": locations}
-    ghost = predicate_ghost(cert["global_preds"], cert["local_preds"], rounds)
+    ghost = predicate_ghost(cert["global_preds"], cert["local_preds"])
     meta = {
         "cegar_rounds": result.rounds,
         "predicates": result.predicates,

@@ -1,16 +1,14 @@
 """Mapping witnesses back to ghost annotations on the concurrent program.
 
-A witness certifies the *sequential* program the KISS (or K-round)
+A witness certifies the *sequential* program the KISS (or lazy K-round)
 transformation produced; the user wrote the *concurrent* one.  This
 module lifts the certified invariant back through the transform the same
 way the trace mappers (:mod:`repro.core.tracemap`,
-:mod:`repro.rounds.tracemap`) lift error traces: instrumentation state
+:mod:`repro.lazy.tracemap`) lift error traces: instrumentation state
 (every ``__kiss_``-prefixed variable, function, and statement) is
-dropped, and the K-round transform's versioned globals ``__kiss_r<k>_g``
-are folded back onto their source global ``g`` with a per-round
-breakdown — the ghost-variable view of Erhard et al. (arXiv:2411.16612),
-where a concurrent invariant is expressed as observations about shared
-state at user program points.
+dropped, leaving observations about the user's shared globals at user
+program points — the ghost-variable view of Erhard et al.
+(arXiv:2411.16612).
 
 The ghost section is *informational provenance*: the independent
 validator deliberately ignores it (it is derived from the same checker
@@ -20,31 +18,15 @@ output the certificate is, so it adds no trust), but it is what a human
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.cfg.graph import ProgramCfg
 from repro.core.names import PREFIX
 from repro.witness.encoding import encode_value
 
-#: ``__kiss_r<k>_<name>`` — a K-round versioned copy of global ``<name>``.
-_RR_GLOBAL = re.compile(r"^__kiss_r(\d+)_(.+)$")
-
 #: Cap on distinct recorded values per (location, variable) — ghost
 #: annotations are a summary for humans, not a second invariant.
 _MAX_VALUES = 32
-
-
-def _fold_global(name: str, rounds: Optional[int]) -> Optional[Tuple[str, Optional[int]]]:
-    """Map a sequential global to ``(concurrent name, round)`` or None
-    for pure instrumentation state.  Round 0 uses the original global
-    itself, so an unprefixed name folds to round 0 under K-rounds."""
-    m = _RR_GLOBAL.match(name)
-    if m is not None:
-        return (m.group(2), int(m.group(1)))
-    if name.startswith(PREFIX):
-        return None
-    return (name, 0 if rounds else None)
 
 
 def _render(value) -> str:
@@ -60,16 +42,13 @@ def _render(value) -> str:
     return ":".join(str(p) for p in enc)
 
 
-def reached_ghost(states: List[tuple], prog, pcfg: ProgramCfg,
-                  rounds: Optional[int]) -> dict:
+def reached_ghost(states: List[tuple], prog, pcfg: ProgramCfg) -> dict:
     """Ghost annotations from a reached-set witness: per user program
-    point, the values each user-visible shared global takes there
-    (folded across K-round versions when ``rounds`` is set)."""
+    point, the values each user-visible shared global takes there."""
     gkeys = sorted(prog.globals)
-    folded = [(i, _fold_global(n, rounds)) for i, n in enumerate(gkeys)]
-    folded = [(i, f) for i, f in folded if f is not None]
-    # locations["func: text"][var][round] = set of rendered values
-    locations: Dict[str, Dict[str, Dict[Optional[int], Set[str]]]] = {}
+    visible = [(i, n) for i, n in enumerate(gkeys) if not n.startswith(PREFIX)]
+    # locations["func: text"][var] = set of rendered values
+    locations: Dict[str, Dict[str, Set[str]]] = {}
     for globals_t, _, stacks_t in states:
         if not stacks_t or not stacks_t[0]:
             continue
@@ -83,62 +62,37 @@ def reached_ghost(states: List[tuple], prog, pcfg: ProgramCfg,
         text = node.origin.text if node.origin and node.origin.text else node.kind
         if PREFIX in text:
             continue
-        at = f"{func}: {text}"
-        vars_ = locations.setdefault(at, {})
-        for i, (base, k) in folded:
-            buckets = vars_.setdefault(base, {})
-            bucket = buckets.setdefault(k, set())
+        vars_ = locations.setdefault(f"{func}: {text}", {})
+        for i, name in visible:
+            bucket = vars_.setdefault(name, set())
             if len(bucket) < _MAX_VALUES:
                 bucket.add(_render(globals_t[i]))
-    out = []
-    for at in sorted(locations):
-        row: Dict[str, object] = {"at": at, "globals": {}}
-        for var in sorted(locations[at]):
-            buckets = locations[at][var]
-            if rounds:
-                row["globals"][var] = {
-                    f"r{k}": sorted(vals) for k, vals in sorted(buckets.items())
-                }
-            else:
-                merged: Set[str] = set()
-                for vals in buckets.values():
-                    merged |= vals
-                row["globals"][var] = sorted(merged)
-        out.append(row)
+    out = [
+        {"at": at, "globals": {var: sorted(vals) for var, vals in sorted(locations[at].items())}}
+        for at in sorted(locations)
+    ]
     return {
         "note": "informational provenance — not checked by the validator",
         "locations": out,
     }
 
 
-def predicate_ghost(global_preds: List, local_preds: Dict[str, List],
-                    rounds: Optional[int]) -> dict:
+def predicate_ghost(global_preds: List, local_preds: Dict[str, List]) -> dict:
     """Ghost annotations from a predicate-invariant witness: the final
     abstraction's predicates restricted to user-visible state (a
-    predicate mentioning any instrumentation variable is dropped; under
-    K-rounds, versioned globals are folded back to their source name
-    with a round marker)."""
+    predicate mentioning any instrumentation variable is dropped)."""
 
-    def fold_pred(p) -> Optional[str]:
-        text = str(p)
-        names = re.findall(r"__kiss_\w+", text)
-        folded = text
-        for n in names:
-            m = _RR_GLOBAL.match(n)
-            if m is None:
-                return None  # mentions pure instrumentation state
-            folded = folded.replace(n, f"{m.group(2)}@r{m.group(1)}")
-        return folded
+    def user_preds(preds) -> List[str]:
+        return sorted({str(p) for p in preds if PREFIX not in str(p)})
 
-    out_global = sorted({f for f in (fold_pred(p) for p in global_preds) if f is not None})
     out_local = {}
     for fname in sorted(local_preds):
         if fname.startswith(PREFIX):
             continue
-        kept = sorted({f for f in (fold_pred(p) for p in local_preds[fname]) if f is not None})
+        kept = user_preds(local_preds[fname])
         if kept:
             out_local[fname] = kept
     return {
         "note": "informational provenance — not checked by the validator",
-        "predicates": {"global": out_global, "local": out_local},
+        "predicates": {"global": user_preds(global_preds), "local": out_local},
     }

@@ -216,7 +216,7 @@ def test_sweep_ts_skips_identical_transforms():
     assert results[1].verdict == results[0].verdict
 
 
-def test_sweep_ts_rounds_strategy_reports_budget():
+def test_sweep_ts_lazy_strategy_reports_budget():
     from repro.core.checker import sweep_ts
 
     src = """
@@ -224,9 +224,9 @@ def test_sweep_ts_rounds_strategy_reports_budget():
     void w() { assert(x < 2); }
     void main() { async w(); x = 2; }
     """
-    results = sweep_ts(parse_core(src), max_bound=1, strategy="rounds", rounds=2)
+    results = sweep_ts(parse_core(src), max_bound=1, strategy="lazy", rounds=2)
     assert results[-1].is_error
-    assert all(r.strategy == "rounds" and r.rounds == 2 for r in results)
+    assert all(r.strategy == "lazy" and r.rounds == 2 for r in results)
 
 
 def test_sweep_ts_continues_when_asked():

@@ -14,7 +14,7 @@ from repro.fuzz import (
     differential_check_source,
 )
 from repro.lang.ast import Assert, Assume, Block, BoolLit
-from repro.rounds import RoundRobinTransformer
+from repro.lazy import LazyTransformer
 
 
 class NeverParks(KissTransformer):
@@ -28,15 +28,18 @@ class NeverParks(KissTransformer):
         return self._inline_call(fctx, s, fam)
 
 
-class NoConsistency(RoundRobinTransformer):
-    """Injected unsoundness in the rounds pipeline: the consistency
-    epilogue's ``assume`` statements are dropped, so inconsistent
-    snapshot guesses survive to the error check and report executions
-    no round-robin schedule can produce."""
+class NoPcGuard(LazyTransformer):
+    """Injected unsoundness in the lazy pipeline: the step functions'
+    leading ``assume`` on the saved pc flag is dropped, so any node of
+    any instance may run at any time — even before its thread is
+    spawned — and report executions no schedule can produce."""
 
-    def _make_check_entry(self, out):
-        decl = super()._make_check_entry(out)
-        decl.body = Block([s for s in decl.body.stmts if not isinstance(s, Assume)])
+    def _make_step(self, inst):
+        decl = super()._make_step(inst)
+        for choice in decl.body.stmts:
+            for branch in choice.branches:
+                assert isinstance(branch.stmts[0], Assume)
+                branch.stmts.pop(0)
         return decl
 
 
@@ -138,7 +141,7 @@ def test_race_mode_replays_reported_races(fuzz_seed):
     assert race_seen, "no race ever reported on the distinguished location"
 
 
-# -- rounds mode -------------------------------------------------------------------
+# -- lazy mode ---------------------------------------------------------------------
 
 THREE_SWITCH = """
     int x; int y;
@@ -151,9 +154,7 @@ THREE_SWITCH = """
     }
 """
 
-#: w can only observe x == 1 (the store of 3 is dead before the spawn),
-#: but 3 is in the guess domain — only the consistency epilogue keeps
-#: the rounds pipeline from reporting it.
+#: w can only observe x == 1: the store of 3 is dead before the spawn.
 DEAD_STORE = """
     int x;
     void w() { assert(x != 3); }
@@ -161,50 +162,48 @@ DEAD_STORE = """
 """
 
 
-def test_rounds_mode_records_coverage_gap_not_divergence():
-    """A concurrent error outside the K=2 budget is the rounds
+def test_lazy_mode_records_coverage_gap_not_divergence():
+    """A concurrent error outside the K=2 budget is the lazy
     transform's *expected* incompleteness, not an oracle finding."""
-    v = differential_check_source(THREE_SWITCH, max_ts=1, strategy="rounds", rounds=2)
+    v = differential_check_source(THREE_SWITCH, max_ts=1, strategy="lazy", rounds=2)
     assert v.concurrent == "error" and v.sequential == "safe"
     assert not v.diverged
     assert v.coverage_gap
     assert v.describe().startswith("coverage-gap:")
 
 
-def test_rounds_mode_gap_closes_at_k3():
-    # the K=3 transform needs ~53k explicit states, just over the default budget
-    v = differential_check_source(
-        THREE_SWITCH, max_ts=1, strategy="rounds", rounds=3, max_states=200_000
-    )
+def test_lazy_mode_gap_closes_at_k3():
+    v = differential_check_source(THREE_SWITCH, max_ts=1, strategy="lazy", rounds=3)
     assert v.concurrent == "error" and v.sequential == "error"
     assert not v.diverged and not v.coverage_gap
 
 
-def test_rounds_mode_catches_injected_unsoundness():
-    factory = lambda ts: NoConsistency(rounds=2, max_ts=ts)
+def test_lazy_mode_catches_injected_unsoundness():
+    factory = lambda ts: NoPcGuard(rounds=2, max_ts=ts)
     from repro.lang import parse
 
+    assert not differential_check(parse(DEAD_STORE), max_ts=1, strategy="lazy").diverged
     v = differential_check(
-        parse(DEAD_STORE), max_ts=1, strategy="rounds", rounds=2,
+        parse(DEAD_STORE), max_ts=1, strategy="lazy", rounds=2,
         transformer_factory=factory,
     )
     assert v.concurrent == "safe"
     assert v.diverged and v.divergence == UNSOUND, v.describe()
 
 
-def test_rounds_mode_agrees_on_generated_batch(fuzz_seed):
+def test_lazy_mode_agrees_on_generated_batch(fuzz_seed):
     gen = ProgramGenerator()
     for seed in range(fuzz_seed, fuzz_seed + 10):
         gp = gen.generate(seed)
-        v = differential_check(gp.program, max_ts=gp.n_forks, strategy="rounds", rounds=2)
+        v = differential_check(gp.program, max_ts=gp.n_forks, strategy="lazy", rounds=2)
         if not v.conclusive:
             continue  # full interleavings are pricier than balanced ones
         assert not v.diverged, f"seed {seed} diverged: {v.describe()}\n{gp.source}"
 
 
 def test_incomplete_divergence_probed_with_rounds(fuzz_seed):
-    """KISS-mode INCOMPLETE findings carry the K=3 triage verdict: the
-    NeverParks mutant loses exactly the park-the-worker executions,
+    """KISS-mode INCOMPLETE findings carry the lazy K=3 triage verdict:
+    the NeverParks mutant loses exactly the park-the-worker executions,
     which three rounds recover."""
     gen = ProgramGenerator()
     factory = lambda ts: NeverParks(max_ts=ts)
@@ -219,10 +218,10 @@ def test_incomplete_divergence_probed_with_rounds(fuzz_seed):
     pytest.fail(f"no divergence in seeds {fuzz_seed}..{fuzz_seed + 59} under NeverParks")
 
 
-def test_rounds_mode_rejects_race_global():
+def test_lazy_mode_rejects_race_global():
     with pytest.raises(ValueError):
         differential_check_source(
-            DEAD_STORE, max_ts=1, strategy="rounds", race_global="x"
+            DEAD_STORE, max_ts=1, strategy="lazy", race_global="x"
         )
 
 

@@ -1,8 +1,8 @@
-"""The lazy pc-guarded sequentialization: KISS-level coverage without
-eager snapshot guesses, strictly more coverage than the eager K-round
-transform on programs whose intermediate values are computed rather
-than stored as literals, the replay contract of its trace mapper, and
-the call-free scalar-fragment restrictions."""
+"""The lazy pc-guarded K-round sequentialization: KISS parity at K=2 on
+both backends, purely sequential behaviour at K=1, strictly more
+coverage than KISS at K=3, the replay contract of its trace mapper, and
+the scalar-fragment restrictions.  Programs with calls are covered by
+``test_lazy_calls.py``."""
 
 import json
 from pathlib import Path
@@ -12,7 +12,8 @@ import pytest
 from repro import obs
 from repro.core.checker import Kiss
 from repro.core.transform import TransformError
-from repro.lang import parse, parse_core
+from repro.concheck import check_concurrent
+from repro.lang import parse
 from repro.lang.lower import lower_program
 from repro.lazy import LazyTransformer, lazy_transform
 
@@ -38,6 +39,34 @@ LAZY_K3 = {
 }
 
 
+#: name -> (source, max_ts, expected verdict) — the backend-parity set.
+PROGRAMS = {
+    "delayed-worker.kp": (
+        (CORPUS / "delayed-worker.kp").read_text(),
+        MANIFEST["delayed-worker.kp"]["max_ts"],
+        MANIFEST["delayed-worker.kp"]["sequential"],
+    ),
+    "bound-error": (
+        """
+        int x;
+        void w() { assert(x < 2); }
+        void main() { async w(); x = 2; }
+        """,
+        1,
+        "error",
+    ),
+    "handoff-safe": (
+        """
+        int data; bool ready;
+        void w() { assume(ready); assert(data == 5); }
+        void main() { data = 5; ready = true; async w(); }
+        """,
+        1,
+        "safe",
+    ),
+}
+
+
 def _lazy(rounds, **kw):
     return Kiss(strategy="lazy", rounds=rounds, **kw)
 
@@ -60,42 +89,78 @@ def test_corpus_verdicts_at_k3(name):
         assert r.trace_validated is True, f"{name}: trace must replay concurrently"
 
 
-# -- K=1 is purely sequential, K=2 has the KISS two-switch budget ------------------
+# -- K=2 parity with KISS, both backends ------------------------------------------
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+@pytest.mark.parametrize("backend", ["explicit", "cegar"])
+def test_k2_matches_kiss_verdicts(name, backend):
+    source, max_ts, expected = PROGRAMS[name]
+    assert Kiss(max_ts=max_ts, backend=backend).check_assertions(parse(source)).verdict == expected
+    r = _lazy(2, backend=backend, validate_traces=True).check_assertions(parse(source))
+    assert r.verdict == expected, r.summary()
+    assert r.strategy == "lazy" and r.rounds == 2
+    if backend == "explicit" and r.is_error:
+        assert r.trace_validated is True, r.summary()
+
+
+# -- K=1 runs each instance once, in spawn order -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [("delayed-worker.kp", "error"), ("bound-error", "error"), ("handoff-safe", "safe")],
+)
+def test_k1_verdicts(name, expected):
+    source, _, _ = PROGRAMS[name]
+    r = _lazy(1, validate_traces=True).check_assertions(parse(source))
+    assert r.verdict == expected, r.summary()
+    assert r.rounds == 1
+    if r.is_error:
+        assert r.trace_validated is True
 
 
 def test_k1_finds_no_preemption_bugs():
+    # the three-switch handshake needs preemption; one round runs each
+    # instance to completion in spawn order, which blocks on the first assume
     r = _lazy(1).check_assertions(parse(THREE_SWITCH))
+    assert r.verdict == "safe", r.summary()
+
+
+# -- K=3 beats KISS on the three-switch protocol -----------------------------------
+
+
+def test_three_switch_invisible_to_kiss():
+    r = Kiss(max_ts=1).check_assertions(parse(THREE_SWITCH))
     assert r.verdict == "safe", r.summary()
 
 
 def test_three_switch_safe_at_k2_error_at_k3():
     assert _lazy(2).check_assertions(parse(THREE_SWITCH)).verdict == "safe"
     r = _lazy(3, validate_traces=True).check_assertions(parse(THREE_SWITCH))
-    assert r.verdict == "error" and r.trace_validated is True
+    assert r.verdict == "error"
+    assert r.trace_validated is True, "mapped counterexample must replay concurrently"
+    # the reconstructed interleaving alternates between the two threads
     tids = [step.tid for step in r.concurrent_trace.steps]
     assert len(set(tids)) == 2, r.concurrent_trace.format()
 
 
-# -- strictly more coverage than eager rounds --------------------------------------
+def test_three_switch_has_a_real_concurrent_witness():
+    result = check_concurrent(lower_program(parse(THREE_SWITCH)), max_states=200_000)
+    assert result.is_error, "the corpus program must truly go wrong unboundedly"
 
 
-def test_increment_chain_beats_the_eager_guess_domain():
-    """The pinned separation witness: x == 2 arises only by incrementing,
-    so it is outside the eager transform's literal guess pool at any K —
-    but the lazy interpreter needs no guesses."""
+def test_increment_chain_invisible_to_kiss_found_at_k3():
+    """x == 2 arises only by incrementing through a handshake that needs
+    more than KISS's two context switches; lazy K=3 finds it."""
     prog = parse(INCREMENT_CHAIN)
     assert Kiss(max_ts=1).check_assertions(prog).verdict == "safe"
-    for k in (3, 4):
-        r = Kiss(max_ts=1, strategy="rounds", rounds=k).check_assertions(prog)
-        assert r.verdict == "safe", f"eager K={k}: {r.summary()}"
     r = _lazy(3, validate_traces=True).check_assertions(prog)
     assert r.verdict == "error", r.summary()
     assert r.trace_validated is True
 
 
 def test_increment_chain_has_a_real_concurrent_witness():
-    from repro.concheck import check_concurrent
-
     result = check_concurrent(lower_program(parse(INCREMENT_CHAIN)), max_states=200_000)
     assert result.is_error, "the corpus program must truly go wrong unboundedly"
 
@@ -164,7 +229,10 @@ def test_ctor_validation():
     with pytest.raises(ValueError):
         LazyTransformer(rounds=0)
     with pytest.raises(ValueError, match="cs_tile"):
-        Kiss(strategy="rounds", rounds=2, cs_tile=["0:1"])
+        Kiss(strategy="kiss", cs_tile=["0:1"])
+    for retired in ("nonsense", "rounds"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            Kiss(strategy=retired)
 
 
 def test_race_checking_is_kiss_only():
@@ -184,11 +252,15 @@ def test_unlowered_input_is_rejected():
 @pytest.mark.parametrize(
     "source,message",
     [
-        ("int x; void f() { x = 1; } void main() { f(); }", "call-free"),
+        ("void f() { f(); } void main() { f(); }", "recursive call"),
+        ("void f() { g(); } void g() { f(); } void main() { f(); }", "recursive call"),
+        ("void w() { } void main() { func f; f = w; f(); }", "use strategy='kiss'"),
         ("struct S { int a; } void main() { S* p; p = malloc(S); }", "unsupported"),
         ("struct S { int a; } S* p; void main() { }", "unsupported type"),
         ("int x; void w() { x = 1; } void main() { while (x < 3) { async w(); } }",
          "async under iter"),
+        ("int x; void w() { x = 1; } void go() { async w(); } "
+         "void main() { while (x < 3) { go(); } }", "async under iter"),
     ],
 )
 def test_fragment_restrictions(source, message):

@@ -17,7 +17,7 @@ from repro.lang import parse
 from repro.schemas import STRATEGIES
 
 #: (strategy, rounds) pairs exercising every sequentialization.
-ALL_STRATEGIES = (("kiss", 2), ("rounds", 2), ("lazy", 2))
+ALL_STRATEGIES = (("kiss", 2), ("lazy", 2))
 
 
 def assert_por_parity(make_kiss, check, what):
@@ -39,9 +39,8 @@ def assert_por_parity(make_kiss, check, what):
 # -- thread-local traffic is actually pruned ---------------------------------------
 
 #: locals and a single-threaded global (``h`` is only ever touched by
-#: ``main``): both POR flavors have something to prune — kiss/lazy skip
-#: schedule points at thread-invisible statements, rounds leaves ``h``
-#: unversioned and drops the advance points in front of its accesses.
+#: ``main``): both POR flavors have something to prune — kiss and lazy
+#: skip schedule points at thread-invisible statements.
 LOCAL_HEAVY = """
 int g;
 int h;

@@ -89,6 +89,24 @@ def test_replay_race_trace_is_feasible():
     assert result.ok, result.reason
 
 
+@pytest.mark.parametrize("max_ts", [0, 1])
+@pytest.mark.parametrize("src", [
+    # the reader's access is an assume that blocks until the write
+    "bool b; void w() { assume(b); } void main() { async w(); b = true; }",
+    # the second access blocks: main's assume(b) after w cleared b
+    "bool b; void w() { b = false; } void main() { async w(); assume(b); }",
+])
+def test_replay_race_whose_access_blocks(src, max_ts):
+    """Figure 5 records or checks an access *before* it runs, so a race
+    is real even when the access itself would block; the replayer only
+    has to reach it."""
+    r = Kiss(max_ts=max_ts, validate_traces=True).check_race(
+        parse_core(src), RaceTarget.global_var("b")
+    )
+    assert r.is_race, r.summary()
+    assert r.trace_validated is True, r.concurrent_trace.format()
+
+
 def test_replay_bluetooth_race_trace():
     prog = bluetooth_program()
     r = Kiss(max_ts=0).check_race(

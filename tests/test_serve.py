@@ -111,6 +111,51 @@ def test_invalid_submissions_are_400(service, payload, fragment):
     assert service.counts["rejected_invalid"] == 1
 
 
+@pytest.mark.parametrize("config", [
+    {"strategy": "bogus"},
+    {"strategy": "rounds"},  # the retired eager K-round strategy
+    {"rounds": 0},
+    {"backend": "sat"},
+    {"strategy": "kiss", "cs_tile": ["0:1"]},
+])
+def test_invalid_config_values_are_400_not_crashes(service, config):
+    """Config values are validated at admission: a bad value is the
+    client's error, not a job that crashes and is retried."""
+    with pytest.raises(AdmissionError) as err:
+        service.submit("t", {"program": SAFE, "prop": "assertion", "config": config})
+    assert err.value.status == 400 and "invalid config" in err.value.error
+    assert service.counts["rejected_invalid"] == 1
+    assert service.counts["submitted"] == 0
+
+
+def test_journaled_retired_strategy_job_settles_on_recovery(tmp_path):
+    """A job admitted under the retired ``strategy: "rounds"`` before a
+    restart still settles with a terminal journal record: recovery
+    skips admission, so the run fails and is degraded, not lost."""
+    from repro.campaign import CheckJob, cache_key
+    from repro.campaign.journal import JobJournal, replay
+
+    jpath = str(tmp_path / "j.jsonl")
+    job = CheckJob(job_id="t/0", driver="t", source=SAFE, prop="assertion",
+                   config={"strategy": "rounds", "rounds": 2})
+    JobJournal(jpath).admit(job, cache_key(job), tenant="t", origin="serve")
+    assert replay(jpath).incomplete == 1
+    svc = CheckService(ServeConfig(jobs=1, cache_dir=None, journal_path=jpath,
+                                   resume=True), start_engine=False)
+    try:
+        assert svc.counts["recovered"] == 1
+        for _ in range(8):
+            svc.pump_once()
+        doc = svc.get("t/0")
+        assert doc is not None and doc["state"] == "done", doc
+        assert doc["result"]["verdict"] == "resource-bound"
+        assert "unknown strategy 'rounds'" in doc["result"]["detail"]
+    finally:
+        svc.stop()
+    after = replay(jpath)
+    assert after.incomplete == 0 and after.done == 1
+
+
 def test_unparsable_program_still_yields_a_verdict(service):
     final = _check(service, {"program": "this is not the language"})
     assert final["result"]["verdict"] in ("error", "resource-bound")
