@@ -47,7 +47,7 @@ def _run(max_k: int = 3):
     ok = True
     for k in range(1, max_k + 1):
         src = ping_pong(k)
-        kiss = Kiss(max_ts=1, max_states=500_000, map_traces=False).check_assertions(
+        kiss = Kiss(max_ts=1, max_states=500_000).check_assertions(
             parse_core(src)
         )
         row = [f"k={k}", "FOUND" if kiss.is_error else "miss"]

@@ -57,7 +57,7 @@ def handshake(n: int) -> str:
 
 def _check(source, strategy, rounds, max_states, por=False):
     kiss = Kiss(max_ts=1, max_states=max_states, strategy=strategy,
-                rounds=rounds, por=por, map_traces=False)
+                rounds=rounds, por=por)
     t0 = time.perf_counter()
     r = kiss.check_assertions(parse(source))
     return {

@@ -46,7 +46,7 @@ def _run(max_n: int = 5):
         growth = f"{c / prev['con']:.1f}x" if prev.get("con") else "-"
         row.append(growth)
         for bound in (0, 1):
-            r = Kiss(max_ts=bound, max_states=BUDGET, map_traces=False).check_assertions(
+            r = Kiss(max_ts=bound, max_states=BUDGET).check_assertions(
                 parse_core(src)
             )
             k = r.backend_result.stats.states

@@ -42,7 +42,7 @@ def _run(max_k: int = 3, max_bound: int = 3):
         row = [f"bug needs {k} parked"]
         prev_found = False
         for bound in range(0, max_bound + 1):
-            r = Kiss(max_ts=bound, max_states=500_000, map_traces=False).check_assertions(
+            r = Kiss(max_ts=bound, max_states=500_000).check_assertions(
                 parse_core(src)
             )
             found = r.is_error

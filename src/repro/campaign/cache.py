@@ -9,7 +9,7 @@ and backend budget (``backend``, ``max_states``, ``cegar_rounds``).  See
 :meth:`~repro.campaign.jobs.CheckJob.verdict_config`.
 
 Results persist as JSONL under ``.kiss-cache/`` (one object per line:
-``{"schema": "kiss-cache/4", "key": ..., "result": {...}}``), appended
+``{"schema": "kiss-cache/5", "key": ..., "result": {...}}``), appended
 as jobs finish, so a re-run of the same campaign only checks drivers
 whose programs or configurations changed.  Appends go through an
 exclusive ``flock`` (:func:`repro.ioutil.locked_append`), so two
@@ -47,7 +47,8 @@ CACHE_FILE = "results.jsonl"
 #: ``/2``: added ``strategy``/``rounds`` to the verdict configuration.
 #: ``/3``: added ``por``/``cs_tile`` (lazy strategy, swarm tiling).
 #: ``/4``: dropped ``inline`` (the pre-pass knob is gone).
-SCHEMA = "kiss-cache/4"
+#: ``/5``: error results carry ``trace_validated`` and ``trace``.
+SCHEMA = "kiss-cache/5"
 
 #: Degraded-outcome detail prefixes that must never be cached: a re-run
 #: with more headroom (longer timeout, higher memory ceiling, no
@@ -201,10 +202,11 @@ class ResultCache:
             return
         # Degraded verdicts from timeouts/crashes/memory ceilings and
         # interrupted remainders are not cached: a re-run with more
-        # headroom should try again, and `resource-bound` from an
+        # headroom should try again (so should an unreplayed error: its
+        # replay may have been cut short), and `resource-bound` from an
         # exhausted state budget is already captured by max_states being
         # part of the key.
-        if result.detail.startswith(UNCACHED_DETAIL_PREFIXES):
+        if result.detail.startswith(UNCACHED_DETAIL_PREFIXES) or result.trace_validated is False:
             return
         now = round(time.time(), 3)
         self._entries[key] = result.to_dict()

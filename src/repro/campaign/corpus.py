@@ -45,7 +45,7 @@ def corpus_jobs(
         wanted = fields_by_driver.get(spec.name) if fields_by_driver else None
         for fname in wanted if wanted is not None else [f.name for f in spec.fields]:
             budget = unresolved_budget if kinds[fname] is FieldKind.UNRESOLVED else max_states
-            config = {"max_ts": 0, "max_states": budget, "map_traces": False}
+            config = {"max_ts": 0, "max_states": budget}
             if witness:
                 config["witness"] = True
             jobs.append(

@@ -22,9 +22,9 @@ from typing import Any, Dict, Optional
 from repro.core.race import RaceTarget
 
 #: Kiss() keyword arguments a job may carry, with the campaign defaults.
-#: ``map_traces``/``validate_traces``/``observe``/``witness`` are
-#: execution options, not part of the cache key: they do not change the
-#: verdict (a witness *describes* a safe verdict; it never forks the key).
+#: ``observe``/``witness`` are execution options, not part of the cache
+#: key: they do not change the verdict (a witness *describes* a safe
+#: verdict; it never forks the key).
 KISS_DEFAULTS: Dict[str, Any] = {
     "max_ts": 0,
     "max_states": 300_000,
@@ -35,8 +35,6 @@ KISS_DEFAULTS: Dict[str, Any] = {
     "rounds": 2,
     "por": False,
     "cs_tile": None,
-    "map_traces": False,
-    "validate_traces": False,
     "observe": False,
     "witness": False,
 }
@@ -168,6 +166,11 @@ class JobResult:
     #: ``witness`` execution option and emitted one; survives cache
     #: round-trips (certificates attach to entries, never key them).
     witness: Optional[Dict[str, Any]] = None
+    #: On an explicit-backend error: whether the mapped concurrent trace
+    #: replayed (False is a pipeline bug, counted as an unreplayed
+    #: error), and that trace, formatted.  None otherwise.
+    trace_validated: Optional[bool] = None
+    trace: Optional[str] = None
 
     @property
     def table_verdict(self) -> str:
@@ -182,8 +185,9 @@ class JobResult:
 
     def as_kiss_result(self):
         """Reconstruct a slim :class:`~repro.core.checker.KissResult`
-        (verdicts, kinds, backend stats — no ASTs or traces, those do not
-        cross process/cache boundaries) for API compatibility."""
+        (verdicts, kinds, backend stats and the replay verdict — no ASTs
+        or trace objects, those do not cross process/cache boundaries)
+        for API compatibility."""
         from repro.core.checker import KissResult  # deferred: avoid import cycle
         from repro.seqcheck.trace import CheckResult, CheckStats, CheckStatus
 
@@ -211,6 +215,7 @@ class JobResult:
             backend_result=backend,
             checks_emitted=self.checks_emitted,
             checks_pruned=self.checks_pruned,
+            trace_validated=self.trace_validated,
         )
 
     # -- (de)serialization for the JSONL cache ------------------------------------
@@ -230,10 +235,9 @@ class JobResult:
             "wall_s": round(self.wall_s, 6),
             "detail": self.detail,
         }
-        if self.metrics is not None:
-            out["metrics"] = self.metrics
-        if self.witness is not None:
-            out["witness"] = self.witness
+        for key in ("metrics", "witness", "trace_validated", "trace"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
     @staticmethod
@@ -253,4 +257,6 @@ class JobResult:
             detail=d.get("detail", ""),
             metrics=d.get("metrics"),
             witness=d.get("witness"),
+            trace_validated=d.get("trace_validated"),
+            trace=d.get("trace"),
         )

@@ -39,14 +39,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro import faults, obs
 from repro.ioutil import locked_append
 from repro.schemas import JOURNAL_SCHEMA, validate_journal_record
 
-from .jobs import CheckJob
+from .jobs import KISS_DEFAULTS, CheckJob
 
 #: terminal events, strongest first: a later weaker record never
 #: overrides an earlier stronger one (double shutdowns, cancels that
@@ -285,6 +285,10 @@ def replay(path: str) -> RecoveryPlan:
         except (KeyError, TypeError):
             plan.corrupt_lines += 1
             continue
+        # older journals carry options Kiss() has since retired (every
+        # Table 1 job once did); they never keyed a result, so drop them
+        job = replace(job, config={k: v for k, v in job.config.items()
+                                   if k in KISS_DEFAULTS or k.startswith("fuzz_")})
         plan.jobs.append(job)
         plan.keys[job.job_id] = entry["key"]
         plan.tenants[job.job_id] = entry["tenant"]

@@ -375,6 +375,8 @@ class CampaignRuntime:
             detail=outcome.get("detail", ""),
             metrics=outcome.get("metrics"),
             witness=outcome.get("witness"),
+            trace_validated=outcome.get("trace_validated"),
+            trace=outcome.get("trace"),
         )
 
     def _skipped_result(self, job: CheckJob, detail: str) -> JobResult:

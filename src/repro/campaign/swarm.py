@@ -26,22 +26,21 @@ monolithic lazy schedule set (``TilePlan.exhaustive``); with fewer tiles
 the union still covers every schedule that avoids some class, but a
 ``"safe"`` verdict only certifies the tiled schedule set.
 
-**Aggregation** (:func:`aggregate`): any tile error is definitive — the
-witnessing tile's program is re-checked in process with trace mapping
-and concurrent replay on, so the swarm error comes with the same
-replay-validated trace a monolithic run would produce.  All tiles safe
-is *safe at the tiling bound* (and at the round bound K, like any lazy
-verdict).  Otherwise the swarm is ``"resource-bound"`` — a cancelled
-tile counts as inconclusive exactly like a resource-bound one (tiles
-only restrict schedules, so skipping one never invents an error).
+**Aggregation** (:func:`aggregate`): any tile error is definitive, and
+it arrives with the witnessing tile's own mapped trace and replay
+verdict (every error result carries both), so the swarm error comes
+with the same replay-validated trace a monolithic run would produce.
+All tiles safe is *safe at the tiling bound* (and at the round bound K,
+like any lazy verdict).  Otherwise the swarm is ``"resource-bound"`` — a
+cancelled tile counts as inconclusive exactly like a resource-bound one
+(tiles only restrict schedules, so skipping one never invents an error).
 
 **First-error cancellation** (``run_swarm_campaign(first_error=True)``,
 CLI ``--first-error``): the moment any tile reports an error, the
 remaining sibling tiles are cooperatively cancelled through the
 runtime (:meth:`~repro.campaign.scheduler.CampaignScheduler.request_cancel`)
 — the error is already definitive, so their wall time is pure waste.
-The aggregate still re-checks the witnessing tile and replay-validates
-the trace; cancelled siblings appear as ``cancelled`` results (and
+Cancelled siblings appear as ``cancelled`` results (and
 ``cancelled`` journal/telemetry records) in the report.  Off by
 default: an exhaustive swarm's ``safe`` verdict needs every tile.
 
@@ -165,10 +164,9 @@ class SwarmReport:
     results: List[JobResult] = field(default_factory=list)
     #: index of the winning tile on an error verdict.
     witness_tile: Optional[int] = None
-    #: formatted concurrent trace from the witnessing tile's in-process
-    #: re-run (None when the re-run could not reproduce it).
+    #: the witnessing tile's formatted concurrent trace and its replay
+    #: verdict (both from that tile's :class:`JobResult`).
     trace: Optional[str] = None
-    #: replay verdict for that trace (the concheck.replay cross-check).
     trace_validated: Optional[bool] = None
     interrupted: Optional[str] = None
 
@@ -203,58 +201,30 @@ class SwarmReport:
         return "\n".join(lines)
 
 
-def aggregate(
-    source: str,
-    plan: TilePlan,
-    results: Sequence[JobResult],
-    max_states: int = 300_000,
-    por: bool = False,
-    validate: bool = True,
-) -> SwarmReport:
-    """Fold tile results into one swarm verdict.
+def aggregate(source: str, plan: TilePlan, results: Sequence[JobResult]) -> SwarmReport:
+    """Fold the tile results into one swarm verdict (``source`` is unread;
+    ``perfbench/layers.py`` reads ``results`` as the third argument).
 
     Any tile error wins (an error inside a tile is an error of the full
     schedule set — tiles only *restrict* schedules, never invent them);
-    the lowest-indexed erring tile is re-checked in process with trace
-    mapping and replay on, so the report carries a concrete validated
-    interleaving.  All safe ⇒ safe at the tiling bound; any leftover
-    ``resource-bound`` or ``cancelled`` tile makes the swarm
-    inconclusive (a first-error run's cancelled siblings never dilute
-    the error verdict — the error branch wins first).
+    the lowest-indexed erring tile is the witness, and its result's
+    replayed trace becomes the report's.  All safe ⇒ safe at the tiling
+    bound; any leftover ``resource-bound`` or ``cancelled`` tile makes
+    the swarm inconclusive (a first-error run's cancelled siblings never
+    dilute the error verdict — the error branch wins first).
     """
     report = SwarmReport(verdict="safe", plan=plan, results=list(results))
     erring = [i for i, r in enumerate(results) if r.verdict == "error"]
     if erring:
+        witness = results[erring[0]]
         report.verdict = "error"
         report.witness_tile = erring[0]
-        if validate:
-            _witness_rerun(source, plan, report, max_states, por)
+        report.trace = witness.trace
+        report.trace_validated = witness.trace_validated
         return report
     if any(r.verdict in ("resource-bound", "cancelled") for r in results):
         report.verdict = "resource-bound"
     return report
-
-
-def _witness_rerun(
-    source: str, plan: TilePlan, report: SwarmReport, max_states: int, por: bool
-) -> None:
-    """Re-check the witnessing tile in process (worker results are slim
-    dicts — traces never cross the pool boundary) with mapping and
-    concurrent replay enabled."""
-    from repro.core.checker import Kiss  # deferred: avoid import cycle
-
-    kiss = Kiss(
-        max_states=max_states,
-        strategy="lazy",
-        rounds=plan.rounds,
-        por=por,
-        cs_tile=plan.tiles[report.witness_tile],
-        validate_traces=True,
-    )
-    r = kiss.check_assertions(parse(source))
-    if r.is_error and r.concurrent_trace is not None:
-        report.trace = r.concurrent_trace.format()
-        report.trace_validated = r.trace_validated
 
 
 def run_swarm_campaign(
@@ -285,6 +255,6 @@ def run_swarm_campaign(
             scheduler.request_cancel("first-error")
 
     results = scheduler.run(jobs, on_result=on_result)
-    report = aggregate(source, plan, results, max_states=max_states, por=por)
+    report = aggregate(source, plan, results)
     report.interrupted = scheduler.interrupted
     return report

@@ -172,7 +172,9 @@ def summary_document(
     under ``interrupted_jobs`` and still appear in the verdict tallies
     (as ``resource-bound`` or ``cancelled``, both ``unresolved`` in the
     table vocabulary), so ``jobs == completed + interrupted_jobs``
-    holds by construction.
+    holds by construction.  ``unreplayed_errors`` counts the error
+    verdicts whose mapped trace did not replay under the concurrent
+    semantics: a pipeline bug, never a verdict change.
     """
     verdicts: Dict[str, int] = {}
     table: Dict[str, int] = {}
@@ -207,5 +209,8 @@ def summary_document(
         "table": table,
         "drivers": list(drivers.values()),
         "cache": {"hits": cache_hits, "misses": cache_misses},
+        "unreplayed_errors": sum(
+            1 for r in results if r.verdict == "error" and r.trace_validated is False
+        ),
         "wall_s": None if wall_s is None else round(wall_s, 6),
     }

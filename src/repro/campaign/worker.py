@@ -163,8 +163,10 @@ class _deadline:
     def __init__(self, seconds: Optional[float]):
         self.seconds = seconds
         self.armed = False
+        self.fired = False
 
     def _fire(self, signum, frame):
+        self.fired = True
         raise JobTimeout()
 
     def __enter__(self):
@@ -238,7 +240,7 @@ def execute_job(
     start = time.monotonic()
 
     def outcome(verdict, *, error_kind=None, detail="", rich=None, stats=None, tr=None,
-                metrics=None, witness=None):
+                metrics=None, witness=None, trace_validated=None, trace=None):
         return (
             {
                 "verdict": verdict,
@@ -251,37 +253,48 @@ def execute_job(
                 "detail": detail,
                 "metrics": metrics,
                 "witness": witness,
+                "trace_validated": trace_validated,
+                "trace": trace,
             },
             rich,
         )
 
     token = cancel.CancelToken(cancel_path) if cancel_path else None
+    deadline = _deadline(timeout)
     try:
         with faults.job_context(job_id=job.job_id, attempt=attempt, timeout=timeout,
                                 pooled=pooled), \
                 _memory_ceiling(None if pooled else memory_limit), \
-                _deadline(timeout), cancel.scope(token):
+                deadline, cancel.scope(token):
             cancel.poll()
             faults.fire("worker_start")
             prog = _parse(job.source)
             faults.fire("mid_check")
             if job.prop == "fuzz":
-                return _fuzz_outcome(job, prog, outcome)
+                out = _fuzz_outcome(job, prog, outcome)
+                if deadline.fired:  # landed in a replay, which reads as a false race
+                    raise JobTimeout()
+                return out
             kiss = Kiss(**job.kiss_kwargs())
             if job.prop == "assertion":
                 r = kiss.check_assertions(prog)
             else:
                 r = kiss.check_race(prog, job.race_target())
         stats = r.backend_result.stats if r.backend_result else None
+        detail = r.backend_result.message if r.backend_result else ""
+        if deadline.fired and r.trace_validated is False:  # landed in the replay
+            detail += f" [trace replay cut by the {timeout}s timeout]"
         return outcome(
             r.verdict,
             error_kind=r.error_kind,
-            detail=r.backend_result.message if r.backend_result else "",
+            detail=detail,
             rich=r,
             stats=stats,
             tr=r,
             metrics=r.metrics,
             witness=r.witness,
+            trace_validated=r.trace_validated,
+            trace=r.concurrent_trace.format() if r.concurrent_trace is not None else None,
         )
     except cancel.Cancelled as exc:
         reason = str(exc)

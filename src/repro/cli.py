@@ -67,7 +67,6 @@ def _kiss(args) -> Kiss:
         max_ts=args.max_ts,
         max_states=args.max_states,
         use_alias_analysis=not getattr(args, "no_alias", False),
-        validate_traces=getattr(args, "validate", False),
         backend=getattr(args, "backend", "explicit"),
         strategy=getattr(args, "strategy", "kiss"),
         rounds=getattr(args, "rounds", 2),
@@ -81,9 +80,8 @@ def _report(result, args=None) -> int:
     if result.is_error and result.concurrent_trace is not None:
         print("concurrent error trace:")
         print(result.concurrent_trace.format())
-        if result.trace_validated is not None:
-            print(f"trace replayed against concurrent semantics: "
-                  f"{'ok' if result.trace_validated else 'FAILED'}")
+        print(f"trace replayed against concurrent semantics: "
+              f"{'ok' if result.trace_validated else 'FAILED'}")
     stats = result.backend_result.stats
     print(f"[backend: {stats.states} states, {stats.transitions} transitions]")
     if result.witness is not None:
@@ -752,8 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file", help="source file in the parallel language")
         sp.add_argument("--max-ts", type=int, default=0, help="ts bound (default 0)")
         sp.add_argument("--max-states", type=int, default=500_000, help="state budget")
-        sp.add_argument("--validate", action="store_true",
-                        help="replay error traces against concurrent semantics")
         sp.add_argument("--backend", choices=("explicit", "cegar"), default="explicit",
                         help="sequential backend (cegar = SLAM-lite, scalar fragment)")
         sp.add_argument("--witness", action="store_true",

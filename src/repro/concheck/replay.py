@@ -9,9 +9,9 @@ constraint over the original concurrent program —
 * each ``step`` entry obliges the named thread to execute the named
   original statement next (navigation nodes in between are free),
 * ``spawn`` entries oblige the thread to execute the original ``async``,
-* ``call``/``return`` entries (lazy traces) oblige the thread to execute
-  that call, or the return into it, right there; unmapped calls and
-  returns are free moves,
+* ``call``/``return`` entries oblige the thread to execute that call, or
+  the return into it, right there; unmapped calls and returns (a
+  thread's start function finishing) are free moves,
 * ``access`` entries (race traces) oblige the thread to *reach* the
   access statement.  It is not executed: Figure 5 records or checks the
   access *before* it, so a race whose access would block (a failing
@@ -68,7 +68,7 @@ class TraceReplayer:
         init = self._initial()
         self._expanded = 0
         try:
-            ok = self._dfs(init, plan, 0, 0, expect, set())
+            ok = self._search(init, plan, expect)
         except _ReplayFailure as exc:
             return ReplayResult(False, str(exc))
         if ok:
@@ -82,70 +82,65 @@ class TraceReplayer:
 
     def _observable(self, node: Node, step: PlanStep, cw: ConWorld, idx: int) -> bool:
         if node.kind in ("call", "return"):
-            # the KISS mapper folds calls/returns into contexts; the lazy
-            # mapper names the ones that move data
-            return step.kind == node.kind and self._matches(node, step, cw, idx)
+            # the mappers name the calls and returns of P (and a race's
+            # access may sit on one); the rest are free moves
+            return step.kind in (node.kind, "access") and self._matches(node, step, cw, idx)
         if node.kind == "skip":
             # user `skip;` statements are mapped steps; choice/iter heads
             # and other synthesized skips are free navigation
             return node.origin.tag == "user" and node.stmt is not None
         return node.origin.sid != 0
 
-    def _dfs(
-        self,
-        cw: ConWorld,
-        plan: List[PlanStep],
-        i: int,
-        silent: int,
-        expect: str,
-        visited: Set,
-    ) -> bool:
-        self._expanded += 1
-        if self._expanded > self.max_nodes:
-            raise _ReplayFailure("replay search budget exceeded")
-        if i == len(plan):
-            return True  # full schedule realized (errors return earlier)
-        if silent > self.MAX_SILENT_STEPS:
-            return False
-        key = (self.interp.freezer.freeze(cw.world.store, cw.world.stacks), tuple(cw.tids), i)
-        if key in visited:
-            return False
-        visited.add(key)
+    def _search(self, init: ConWorld, plan: List[PlanStep], expect: str) -> bool:
+        """Depth-first over ``(world, next plan index, free moves since the
+        last plan step)`` on an explicit stack: no recursion limit."""
+        visited: Set = set()
+        stack = [(init, 0, 0)]
+        while stack:
+            cw, i, silent = stack.pop()
+            self._expanded += 1
+            if self._expanded > self.max_nodes:
+                raise _ReplayFailure("replay search budget exceeded")
+            if i == len(plan):
+                return True  # full schedule realized (errors return earlier)
+            if silent > self.MAX_SILENT_STEPS:
+                continue
+            key = (self.interp.freezer.freeze(cw.world.store, cw.world.stacks), tuple(cw.tids), i)
+            if key in visited:
+                continue
+            visited.add(key)
 
-        step = plan[i]
-        if step.tid not in cw.tids:
-            return False
-        idx = cw.tids.index(step.tid)
-        frame = cw.world.stacks[idx][-1]
-        node = self.pcfg.cfg(frame.func).node(frame.node)
-        last = i == len(plan) - 1
+            step = plan[i]
+            if step.tid not in cw.tids:
+                continue
+            idx = cw.tids.index(step.tid)
+            frame = cw.world.stacks[idx][-1]
+            node = self.pcfg.cfg(frame.func).node(frame.node)
+            last = i == len(plan) - 1
 
-        if self._observable(node, step, cw, idx):
-            if not self._matches(node, step, cw, idx):
-                return False
-            if step.kind == "access":
-                return self._dfs(cw, plan, i + 1, 0, expect, visited)
+            if self._observable(node, step, cw, idx):
+                if not self._matches(node, step, cw, idx):
+                    continue
+                if step.kind == "access":
+                    stack.append((cw, i + 1, 0))
+                    continue
+                try:
+                    succs = cw.step(self.interp, idx, node)
+                except Violation as v:
+                    if last and expect == "error" and v.kind == "assert":
+                        return True
+                    continue
+                if last and expect == "error":
+                    continue  # expected the final step to fail
+                stack.extend((succ, i + 1, 0) for succ in reversed(succs))
+                continue
+
+            # navigation / call / return: free moves
             try:
                 succs = cw.step(self.interp, idx, node)
-            except Violation as v:
-                if last and expect == "error" and v.kind == "assert":
-                    return True
-                return False
-            if last and expect == "error":
-                return False  # expected the final step to fail
-            for succ in succs:
-                if self._dfs(succ, plan, i + 1, 0, expect, visited):
-                    return True
-            return False
-
-        # navigation / call / return: free moves
-        try:
-            succs = cw.step(self.interp, idx, node)
-        except Violation:
-            return False
-        for succ in succs:
-            if self._dfs(succ, plan, i, silent + 1, expect, visited):
-                return True
+            except Violation:
+                continue
+            stack.extend((succ, i, silent + 1) for succ in reversed(succs))
         return False
 
     def _matches(self, node: Node, step: PlanStep, cw: ConWorld, idx: int) -> bool:

@@ -9,7 +9,7 @@ extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import cancel, obs
 from repro.cfg.build import build_program_cfg
@@ -21,7 +21,7 @@ from repro.seqcheck.explicit import SequentialChecker
 from repro.seqcheck.trace import CheckResult, CheckStatus
 
 from .race import RaceTarget, RaceTransformer
-from .tracemap import ConcurrentTrace, map_result
+from .tracemap import ConcurrentTrace, map_trace
 from .transform import TAG_CHECK, KissTransformer
 
 
@@ -54,8 +54,9 @@ class KissResult:
     concurrent_trace: Optional[ConcurrentTrace] = None
     checks_emitted: int = 0
     checks_pruned: int = 0
-    #: None = not validated; True/False = replay verdict (see
-    #: repro.concheck.replay) when ``Kiss(validate_traces=True)``.
+    #: The replay verdict of ``concurrent_trace`` against the concurrent
+    #: semantics (:mod:`repro.concheck.replay`) on an explicit-backend
+    #: error; None for other verdicts and for CEGAR errors (no trace).
     trace_validated: Optional[bool] = None
     #: Per-phase timings and counters (the ``kiss-metrics/1`` snapshot of
     #: :mod:`repro.obs`) when ``Kiss(observe=True)``; None otherwise.
@@ -91,7 +92,10 @@ class KissResult:
 
 class Kiss:
     """The KISS checker (Figure 1): instrument, then run a sequential
-    backend, then map the error trace back.
+    backend, then map the error trace back and replay it against the
+    original concurrent semantics (``KissResult.trace_validated`` — a
+    per-trace check of the paper's "never reports false errors"
+    guarantee).
 
     Parameters
     ----------
@@ -105,22 +109,15 @@ class Kiss:
         (the paper's 20-minute/800 MB bound per driver/field run).
     use_alias_analysis:
         Prune race checks with the Steensgaard analysis (Section 5).
-    map_traces:
-        Reconstruct concurrent error traces (Figure 1's back arrow).
-    validate_traces:
-        Additionally *replay* every mapped error trace against the
-        original concurrent semantics (guided search) and record the
-        verdict in ``KissResult.trace_validated`` — a per-trace check of
-        the paper's "never reports false errors" guarantee.
     backend:
         ``"explicit"`` (default) — the explicit-state checker, complete
         for finite data and the backend used for the driver corpus; or
         ``"cegar"`` — the SLAM-lite predicate-abstraction stack (the
         paper's actual architecture), for programs whose sequentialized
         form stays in the scalar fragment.  CEGAR divergence and
-        unsupported fragments surface as ``"resource-bound"``; error
-        traces are not mapped for this backend (its counterexamples are
-        abstract).
+        unsupported fragments surface as ``"resource-bound"``; its error
+        traces are abstract, so they are neither mapped nor replayed
+        (``trace_validated`` stays None).
     observe:
         Record per-phase timings and counters for each check
         (:mod:`repro.obs`) and attach the snapshot as
@@ -166,8 +163,6 @@ class Kiss:
         max_ts: int = 0,
         max_states: int = 500_000,
         use_alias_analysis: bool = True,
-        map_traces: bool = True,
-        validate_traces: bool = False,
         backend: str = "explicit",
         cegar_rounds: int = 16,
         observe: bool = False,
@@ -192,8 +187,6 @@ class Kiss:
         self.max_ts = max_ts
         self.max_states = max_states
         self.use_alias_analysis = use_alias_analysis
-        self.map_traces = (map_traces or validate_traces) and backend == "explicit"
-        self.validate_traces = validate_traces and backend == "explicit"
         self.backend = backend
         self.cegar_rounds = cegar_rounds
         #: record per-phase timings and counters (:mod:`repro.obs`) and
@@ -265,12 +258,39 @@ class Kiss:
             return "assertion"
         return result.violation_kind
 
+    def _map_and_replay(
+        self,
+        result: CheckResult,
+        pcfg: ProgramCfg,
+        core: Program,
+        error_kind: Optional[str],
+        target: Optional[RaceTarget],
+    ) -> Tuple[Optional[ConcurrentTrace], bool]:
+        """Map an explicit error trace back to P and replay it there:
+        races must be feasible, assertion traces must end in the failing
+        assertion.  A trace that cannot be mapped or replayed is a
+        pipeline bug, not a verdict change: it reports ``False``, as does
+        a replay cut short by a worker's deadline or memory ceiling."""
+        from repro.concheck.replay import replay_trace
+        from repro.lazy.tracemap import map_trace as lazy_map_trace
+
+        mapper = lazy_map_trace if target is None and self.strategy == "lazy" else map_trace
+        expect = "feasible" if error_kind == "race" else "error"
+        ctrace = None
+        try:
+            with obs.span("trace-map"):
+                ctrace = mapper(pcfg, result.trace)
+            with obs.span("trace-replay"):
+                return ctrace, replay_trace(core, ctrace, expect=expect).ok
+        except Exception:
+            return ctrace, False
+
     def _finish(
         self,
         result: CheckResult,
         pcfg: ProgramCfg,
         transformed: Program,
-        core: Optional[Program] = None,
+        core: Program,
         target: Optional[RaceTarget] = None,
         transformer: Optional[KissTransformer] = None,
     ) -> KissResult:
@@ -281,21 +301,9 @@ class Kiss:
         }[result.status]
         error_kind = self._classify(result, pcfg)
         ctrace = None
-        if self.map_traces and result.is_error:
-            with obs.span("trace-map"):
-                if target is None and self.strategy == "lazy":
-                    from repro.lazy.tracemap import map_result as lazy_map_result
-
-                    ctrace = lazy_map_result(pcfg, result)
-                else:
-                    ctrace = map_result(pcfg, result)
         validated: Optional[bool] = None
-        if self.validate_traces and ctrace is not None and core is not None:
-            from repro.concheck.replay import replay_trace
-
-            expect = "feasible" if error_kind == "race" else "error"
-            with obs.span("trace-replay"):
-                validated = replay_trace(core, ctrace, expect=expect).ok
+        if result.is_error and self.backend == "explicit":
+            ctrace, validated = self._map_and_replay(result, pcfg, core, error_kind, target)
         witness: Optional[dict] = None
         if self.witness and verdict == "safe":
             from repro.witness.emit import emit_witness
@@ -343,8 +351,8 @@ class Kiss:
         return out
 
     def check_transformed(self, core: Program, transformed: Program) -> KissResult:
-        """Backend + trace mapping on an already-sequentialized program
-        (``core`` is its concurrent original, for replay validation).
+        """Backend, trace mapping and replay on an already-sequentialized
+        program (``core`` is its concurrent original, for the replay).
         :func:`sweep_ts` uses this to skip redundant re-checks when
         consecutive bounds transform to the identical program."""
         recorder, ctx = obs.maybe_observing(self.observe)
@@ -396,7 +404,7 @@ class Kiss:
         and ``cache_dir`` enables the content-addressed result cache.
         With the defaults everything runs in-process and results keep
         their traces; results that cross a process or cache boundary
-        are slimmed to verdict + stats.
+        are slimmed to verdict, stats and replay verdict.
         """
         from repro.campaign import CampaignConfig, CampaignScheduler, CheckJob
         from repro.lang.pretty import pretty_program
@@ -411,8 +419,6 @@ class Kiss:
             "backend": self.backend,
             "cegar_rounds": self.cegar_rounds,
             "por": False,  # the race instrumentation never prunes switch points
-            "map_traces": self.map_traces,
-            "validate_traces": self.validate_traces,
             "observe": self.observe,
             "witness": self.witness,
         }

@@ -14,6 +14,11 @@ scheduler:
   start function); the matching ``schedule()`` dispatch re-activates that
   context until the dispatched call returns.
 
+A call of the original program and its normal return map to ``call`` and
+``return`` steps of the current thread: both move data (arguments, the
+result's target), so the replayer must take them exactly there.  A frame
+unwound by ``raise`` maps to nothing — in ``P`` that thread just stops.
+
 The result is a :class:`ConcurrentTrace`: per-step ``(thread, original
 statement)`` pairs, plus ``spawn`` pseudo-steps at the points where the
 concurrent program would have executed the ``async``, and ``access``
@@ -30,14 +35,13 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cfg.graph import ProgramCfg
-from repro.seqcheck.trace import CheckResult, TraceStep
+from repro.seqcheck.trace import TraceStep
 
 from .transform import (
     TAG_CHECK,
     TAG_DISPATCH,
     TAG_INLINE_ASYNC,
     TAG_PUT,
-    TAG_ROOT,
 )
 
 
@@ -49,8 +53,8 @@ class PlanStep:
     ``"spawn"`` (the point where ``tid`` executed the original ``async``),
     ``"access"`` (a recorded read/write of the race target — race
     traces end with two of these from different threads), or
-    ``"call"``/``"return"`` (the lazy mapper's call and result-write
-    steps; ``sid`` is the call statement's).
+    ``"call"``/``"return"`` (entering a call of the original program and
+    returning from it; ``sid`` is the call statement's).
     """
 
     tid: int
@@ -107,7 +111,9 @@ def map_trace(pcfg: ProgramCfg, trace: List[TraceStep]) -> ConcurrentTrace:
     from (node ids in the trace index into it).
     """
     out = ConcurrentTrace()
-    vdepth = 0  # virtual call-stack depth
+    #: one entry per open call: the ``return`` step a user call owes
+    #: when its frame returns normally, None for synthesized calls
+    frames: List[Optional[PlanStep]] = []
     contexts: List[_ThreadCtx] = [_ThreadCtx(tid=0, depth=0)]
     next_tid = 1
     parked: Dict[str, Deque[int]] = defaultdict(deque)
@@ -119,31 +125,35 @@ def map_trace(pcfg: ProgramCfg, trace: List[TraceStep]) -> ConcurrentTrace:
 
         if node.kind == "call":
             spawn = getattr(node.stmt, "kiss_spawn", None)
-            if tag == TAG_ROOT:
-                pass  # thread 0 enters the original program
+            owed = None
+            if tag == "user":
+                out.steps.append(PlanStep(cur, node.origin.sid, "call", node.origin.text))
+                owed = PlanStep(cur, node.origin.sid, "return", node.origin.text)
             elif tag == TAG_INLINE_ASYNC:
                 tid = next_tid
                 next_tid += 1
                 out.steps.append(PlanStep(cur, node.origin.sid, "spawn", node.origin.text))
-                contexts.append(_ThreadCtx(tid, vdepth))
+                contexts.append(_ThreadCtx(tid, len(frames)))
             elif tag == TAG_DISPATCH:
                 family = spawn or ""
                 if not parked[family]:
                     raise TraceMapError(f"dispatch of '{family}' with no parked thread")
                 tid = parked[family].popleft()
-                contexts.append(_ThreadCtx(tid, vdepth))
+                contexts.append(_ThreadCtx(tid, len(frames)))
             elif tag == TAG_CHECK and _check_call_records(nodes, i):
                 # this check call actually hit the target (recorded an
                 # access or failed the conflict assertion inside)
                 out.steps.append(PlanStep(cur, node.origin.sid, "access", node.origin.text))
-            vdepth += 1
+            frames.append(owed)
             continue
 
         if node.kind == "return":
-            vdepth -= 1
-            if vdepth < 0:
+            if not frames:
                 raise TraceMapError("trace unwinds past the entry frame")
-            while len(contexts) > 1 and contexts[-1].depth == vdepth:
+            owed = frames.pop()
+            if owed is not None and node.stmt.kiss_tag is None:
+                out.steps.append(owed)  # not a ``raise`` unwinding
+            while len(contexts) > 1 and contexts[-1].depth == len(frames):
                 contexts.pop()
             continue
 
@@ -184,10 +194,3 @@ def _check_call_records(nodes, i: int) -> bool:
             if isinstance(stmt, Assign) and isinstance(stmt.lhs, Var) and stmt.lhs.name == names.ACCESS_VAR:
                 return True
     return True  # trace ended inside the call: the conflict assertion fired
-
-
-def map_result(pcfg: ProgramCfg, result: CheckResult) -> Optional[ConcurrentTrace]:
-    """Map a checker result's trace; None when there is no error trace."""
-    if not result.is_error:
-        return None
-    return map_trace(pcfg, result.trace)

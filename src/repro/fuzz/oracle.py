@@ -297,7 +297,7 @@ def _race_check(
     concurrent semantics is a :data:`FALSE_RACE` divergence."""
     from repro.core.checker import Kiss
 
-    kiss = Kiss(max_ts=max_ts, max_states=max_states, validate_traces=True)
+    kiss = Kiss(max_ts=max_ts, max_states=max_states)
     r = kiss.check_race(core, RaceTarget.global_var(race_global))
     v.race_verdict = r.verdict
     if r.is_error and r.trace_validated is False:

@@ -14,13 +14,12 @@ from .transform import (
     LazyTransformer,
     lazy_transform,
 )
-from .tracemap import map_result, map_trace
+from .tracemap import map_trace
 
 __all__ = [
     "DONE",
     "TAG_LZ_SPAWN",
     "LazyTransformer",
     "lazy_transform",
-    "map_result",
     "map_trace",
 ]

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.cfg.graph import ProgramCfg
 from repro.core import names
 from repro.core.tracemap import ConcurrentTrace, PlanStep, TraceMapError
-from repro.seqcheck.trace import CheckResult, TraceStep
+from repro.seqcheck.trace import TraceStep
 
 from .transform import TAG_LZ_CALL, TAG_LZ_RETURN, TAG_LZ_SPAWN
 
@@ -77,10 +77,3 @@ def map_trace(pcfg: ProgramCfg, trace: List[TraceStep]) -> ConcurrentTrace:
         elif origin.tag == "user" and origin.sid:
             out.steps.append(PlanStep(cur, origin.sid, "step", origin.text))
     return out
-
-
-def map_result(pcfg: ProgramCfg, result: CheckResult) -> Optional[ConcurrentTrace]:
-    """Map a checker result's trace; None when there is no error trace."""
-    if not result.is_error:
-        return None
-    return map_trace(pcfg, result.trace)

@@ -128,6 +128,20 @@ def _default_init(typ: Type) -> Expr:
     raise TransformError(f"lazy: cannot default-initialize type {typ}")
 
 
+def _falls_through(stmts: Sequence[Stmt]) -> bool:
+    """May control fall off the end of ``stmts``?  Only ``return`` stops
+    it: a ``choice`` falls through when some branch does, and an
+    ``iter`` may always run zero times."""
+    for s in stmts:
+        if isinstance(s, Return):
+            return False
+        if isinstance(s, Block) and not _falls_through(s.stmts):
+            return False
+        if isinstance(s, Choice) and not any(_falls_through(b.stmts) for b in s.branches):
+            return False
+    return True
+
+
 def _unsupported(what: str) -> TransformError:
     """A dropped input: the error names the strategy that accepts it."""
     return TransformError(f"lazy: {what}; use strategy='kiss'")
@@ -471,10 +485,10 @@ class LazyTransformer(KissTransformer):
     def _flat_call(self, call: Call, follow: int) -> int:
         """The binding node, then the callee's body; falling off its end
         continues at ``follow`` (through a default-result write when the
-        call has a left-hand side)."""
+        call has a left-hand side and some path can fall off)."""
         callee, mapping = self._callees[id(call)]
         end = follow
-        if call.lhs is not None:
+        if call.lhs is not None and _falls_through(callee.body.stmts):
             end = self._result_node(call, _default_init(callee.ret), follow)
         self._returns.append((call, callee, follow))
         body_entry = self._flat_seq(callee.body.stmts, end)

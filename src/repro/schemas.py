@@ -176,8 +176,9 @@ def validate_summary(doc: Dict[str, Any]) -> Dict[str, Any]:
     if doc.get("schema") != CAMPAIGN_SCHEMA:
         fail(f"schema is {doc.get('schema')!r}")
     for key, kind in (("jobs", int), ("completed", int), ("interrupted_jobs", int),
-                      ("deadline_hit", bool), ("verdicts", dict), ("table", dict),
-                      ("drivers", list), ("cache", dict)):
+                      ("unreplayed_errors", int), ("deadline_hit", bool),
+                      ("verdicts", dict), ("table", dict), ("drivers", list),
+                      ("cache", dict)):
         if not isinstance(doc.get(key), kind):
             fail(f"{key} missing or not {kind.__name__}")
     if doc["interrupted"] is not None and not isinstance(doc["interrupted"], str):
@@ -191,6 +192,8 @@ def validate_summary(doc: Dict[str, Any]) -> Dict[str, Any]:
             fail("negative or non-integer tally")
         if sum(tally.values()) != doc["jobs"]:
             fail("tallies do not sum to jobs")
+    if not 0 <= doc["unreplayed_errors"] <= doc["verdicts"].get("error", 0):
+        fail("unreplayed_errors is not between 0 and the error count")
     fields = 0
     for row in doc["drivers"]:
         for key in ("driver", "fields", "race", "no-race", "unresolved", "other",
@@ -261,6 +264,9 @@ def validate_serve_event(doc: Dict[str, Any]) -> Dict[str, Any]:
                                                     ("program_sha256", str)))
             if w["kind"] not in WITNESS_KINDS:
                 raise SchemaError(f"unknown witness kind {w['kind']!r}")
+        for key, kind in (("trace_validated", bool), ("trace", str)):
+            if doc.get(key) is not None and not isinstance(doc[key], kind):
+                raise SchemaError(f"done event {key} must be a {kind.__name__} or null")
     return doc
 
 

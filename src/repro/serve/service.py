@@ -37,8 +37,8 @@ frontend has no use for:
   on the shared engine; tile lifecycle events stream both on the tile
   records and interleaved into the swarm's own stream, first-error
   cancellation stops sibling tiles the moment any tile errs, and the
-  aggregate verdict (witness re-check included) lands as one ``done``
-  event on the swarm stream;
+  aggregate verdict (with the witnessing tile's replayed trace) lands
+  as one ``done`` event on the swarm stream;
 * **durability** — with a ``journal_path`` every admission writes a
   ``kiss-journal/1`` write-ahead record through the runtime
   (:mod:`repro.campaign.journal`); ``resume=True`` replays the journal
@@ -226,8 +226,6 @@ class SwarmRecord:
     tenant: str
     source: str
     plan: TilePlan
-    por: bool
-    max_states: int
     first_error: bool
     tile_ids: List[str]
     events: List[dict] = field(default_factory=list)
@@ -318,9 +316,6 @@ class CheckService:
         self._swarms: "OrderedDict[str, SwarmRecord]" = OrderedDict()
         #: tile job_id -> its swarm, while the tile is unsettled.
         self._swarm_by_tile: Dict[str, SwarmRecord] = {}
-        #: fully settled swarms awaiting aggregation (engine thread,
-        #: outside the lock — the witness re-check is a real check).
-        self._swarm_ready: List[SwarmRecord] = []
         self._buckets: Dict[str, TokenBucket] = {}
         self._seq = 0
         self.draining = False
@@ -407,16 +402,10 @@ class CheckService:
             with self._lock:
                 for job, key, result in finished:
                     self._finish(job, key, result)
-        # Aggregate fully settled swarms on this thread, outside the
-        # lock — the witness re-check is an ordinary in-process check.
-        ready = self._take_ready_swarms()
-        for swarm in ready:
-            self._aggregate_swarm(swarm)
         with self._lock:
-            if (self.draining and rt.idle and not self._inbox
-                    and not self._swarm_ready):
+            if self.draining and rt.idle and not self._inbox:
                 return False
-        if rt.idle and not ready:
+        if rt.idle:
             time.sleep(self.config.poll_s)
         return True
 
@@ -506,8 +495,7 @@ class CheckService:
             obs.inc("serve_swarms")
             swarm = SwarmRecord(
                 swarm_id=swarm_id, tenant=tenant, source=params["program"],
-                plan=plan, por=params["por"], max_states=params["max_states"],
-                first_error=params["first_error"],
+                plan=plan, first_error=params["first_error"],
                 tile_ids=[j.job_id for j in jobs],
             )
             self._swarms[swarm_id] = swarm
@@ -786,7 +774,8 @@ class CheckService:
             verdict=result.verdict, error_kind=result.error_kind,
             attempts=result.attempts, cache=cache_state,
             wall_s=round(result.wall_s, 6), states=result.states,
-            detail=result.detail, version=package_version(), **extra,
+            detail=result.detail, version=package_version(),
+            trace_validated=result.trace_validated, trace=result.trace, **extra,
         ))
         self.counts["completed"] += 1
         record.done.set()
@@ -796,8 +785,8 @@ class CheckService:
 
     def _tile_settled(self, record: JobRecord, result: JobResult) -> None:
         """Note one tile's terminal result on its swarm; fire the
-        first-error cancellation and queue the aggregate when the last
-        tile lands.  No-op for ordinary jobs.  Caller holds the lock."""
+        first-error cancellation and aggregate when the last tile lands.
+        No-op for ordinary jobs.  Caller holds the lock."""
         swarm = self._swarm_by_tile.pop(record.job_id, None)
         if swarm is None:
             return
@@ -807,46 +796,38 @@ class CheckService:
             swarm.cancelled_sent = True
             self._cancel_swarm_siblings(swarm, reason="first-error")
         if len(swarm.results) == len(swarm.tile_ids) and swarm.report is None:
-            self._swarm_ready.append(swarm)
-
-    def _take_ready_swarms(self) -> List[SwarmRecord]:
-        with self._lock:
-            ready, self._swarm_ready = self._swarm_ready, []
-            return ready
+            self._aggregate_swarm(swarm)
 
     def _aggregate_swarm(self, swarm: SwarmRecord) -> None:
-        """Fold one fully settled swarm (engine thread, outside the
-        lock: an error verdict re-checks the witnessing tile in process
-        with trace mapping and replay on)."""
+        """Fold one fully settled swarm into its ``done`` event.  Caller
+        holds the lock."""
         results = [swarm.results[tid] for tid in swarm.tile_ids]
-        report = aggregate(swarm.source, swarm.plan, results,
-                           max_states=swarm.max_states, por=swarm.por)
-        with self._lock:
-            swarm.report = report
-            detail = f"swarm {report.verdict}: {len(results)} tiles"
-            cancelled = sum(1 for r in results if r.verdict == "cancelled")
-            if cancelled:
-                detail += f", {cancelled} cancelled"
-            if report.witness_tile is not None:
-                validated = "replay-validated" if report.trace_validated else "not validated"
-                detail += f", witness tile {report.witness_tile} ({validated})"
-            witness = results[report.witness_tile] if report.witness_tile is not None else None
-            swarm.events.append(self._event(
-                "done", swarm.swarm_id,
-                verdict=report.verdict,
-                error_kind=witness.error_kind if witness is not None else None,
-                attempts=sum(r.attempts for r in results),
-                cache="aggregate",
-                wall_s=round(sum(r.wall_s for r in results), 6),
-                states=sum(r.states for r in results),
-                detail=detail, version=package_version(),
-            ))
-            swarm.done.set()
-            self._tel.emit("swarm_done", swarm=swarm.swarm_id,
-                           verdict=report.verdict, tiles=len(results),
-                           cancelled=cancelled,
-                           witness_tile=report.witness_tile,
-                           trace_validated=report.trace_validated)
+        report = swarm.report = aggregate(swarm.source, swarm.plan, results)
+        detail = f"swarm {report.verdict}: {len(results)} tiles"
+        cancelled = sum(1 for r in results if r.verdict == "cancelled")
+        if cancelled:
+            detail += f", {cancelled} cancelled"
+        if report.witness_tile is not None:
+            validated = "replay-validated" if report.trace_validated else "not validated"
+            detail += f", witness tile {report.witness_tile} ({validated})"
+        witness = results[report.witness_tile] if report.witness_tile is not None else None
+        swarm.events.append(self._event(
+            "done", swarm.swarm_id,
+            verdict=report.verdict,
+            error_kind=witness.error_kind if witness is not None else None,
+            attempts=sum(r.attempts for r in results),
+            cache="aggregate",
+            wall_s=round(sum(r.wall_s for r in results), 6),
+            states=sum(r.states for r in results),
+            detail=detail, version=package_version(),
+            trace_validated=report.trace_validated, trace=report.trace,
+        ))
+        swarm.done.set()
+        self._tel.emit("swarm_done", swarm=swarm.swarm_id,
+                       verdict=report.verdict, tiles=len(results),
+                       cancelled=cancelled,
+                       witness_tile=report.witness_tile,
+                       trace_validated=report.trace_validated)
 
     def _evict_done(self) -> None:
         """Bound the record index: drop the oldest *completed* records

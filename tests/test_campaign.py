@@ -226,12 +226,12 @@ def test_telemetry_stream_and_summary(tmp_path):
 
 
 def test_cache_hit_survives_execution_option_change(tmp_path):
-    """map_traces/validate_traces are execution options, not verdict
-    inputs: flipping them must NOT invalidate cached results."""
+    """observe is an execution option, not a verdict input: flipping
+    it must NOT invalidate cached results."""
     d = str(tmp_path / "cache")
     cold = CampaignScheduler(CampaignConfig(cache_dir=d)).run([job()])[0]
     assert not cold.cache_hit
-    reconfigured = job(map_traces=True, validate_traces=True)
+    reconfigured = job(observe=True)
     assert cache_key(reconfigured) == cache_key(job())
     warm = CampaignScheduler(CampaignConfig(cache_dir=d)).run([reconfigured])[0]
     assert warm.cache_hit
@@ -239,7 +239,7 @@ def test_cache_hit_survives_execution_option_change(tmp_path):
 
 
 def test_cache_hit_survives_witness_option_change(tmp_path):
-    """witness is an execution option like map_traces: flipping it must
+    """witness is an execution option like observe: flipping it must
     not fork the cache key, and a certificate captured on the cold run
     rides along in the cached entry."""
     d = str(tmp_path / "cache")

@@ -40,16 +40,42 @@ def test_resource_bound_result():
     assert r.verdict == "resource-bound"
 
 
-def test_map_traces_off_skips_mapping():
-    r = Kiss(map_traces=False).check_assertions(parse_core(BUGGY))
-    assert r.is_error and r.concurrent_trace is None
-
-
-def test_validate_traces_implies_mapping():
-    kiss = Kiss(map_traces=False, validate_traces=True)
-    r = kiss.check_assertions(parse_core(BUGGY))
+def test_every_error_is_mapped_and_replayed():
+    r = Kiss().check_assertions(parse_core(BUGGY))
     assert r.concurrent_trace is not None
     assert r.trace_validated is True
+
+
+def test_a_failed_replay_keeps_the_error_verdict(monkeypatch):
+    from repro.concheck import replay
+    from repro.concheck.replay import ReplayResult
+
+    monkeypatch.setattr(replay, "replay_trace", lambda *a, **k: ReplayResult(False, "bug"))
+    r = Kiss().check_assertions(parse_core(BUGGY))
+    assert r.verdict == "error" and r.trace_validated is False
+    assert r.concurrent_trace is not None
+
+
+def test_a_replay_that_raises_keeps_the_error_verdict(monkeypatch):
+    from repro.concheck import replay
+
+    def broken(*args, **kwargs):
+        raise RecursionError("bug")
+
+    monkeypatch.setattr(replay, "replay_trace", broken)
+    r = Kiss().check_assertions(parse_core(BUGGY))
+    assert r.verdict == "error" and r.trace_validated is False
+    assert r.concurrent_trace is not None
+
+
+def test_an_error_thousands_of_steps_deep_replays():
+    """The replay search is iterative: an execution far longer than
+    Python's recursion limit still replays."""
+    src = ("int i; void main() { iter { assume(i < 600); i = i + 1; } "
+           "assume(i >= 600); assert(false); }")
+    r = Kiss().check_assertions(parse(src))
+    assert len(r.backend_result.trace) > 5000
+    assert r.verdict == "error" and r.trace_validated is True
 
 
 def test_sequentialize_returns_inspectable_program():
@@ -134,11 +160,29 @@ def test_checks_emitted_reported_for_race_runs():
 # -- the CEGAR backend: KISS-on-SLAM, the paper's actual architecture ------------
 
 
+def test_an_unmappable_trace_keeps_the_error_verdict(monkeypatch):
+    from repro.core import checker
+    from repro.core.tracemap import TraceMapError
+
+    def unmappable(*args):
+        raise TraceMapError("bug")
+
+    monkeypatch.setattr(checker, "map_trace", unmappable)
+    r = Kiss().check_assertions(parse_core(BUGGY))
+    assert r.verdict == "error" and r.trace_validated is False
+    assert r.concurrent_trace is None
+
+
 def test_cegar_backend_finds_concurrency_bug():
     """The full pipeline: Figure 4 sequentialization checked by predicate
     abstraction + Bebop + refinement, on a scalar concurrent program."""
     r = Kiss(max_ts=0, backend="cegar").check_assertions(parse_core(BUGGY))
     assert r.is_error
+
+
+def test_cegar_errors_carry_no_trace_and_no_replay_verdict():
+    r = Kiss(max_ts=0, backend="cegar").check_assertions(parse_core(BUGGY))
+    assert r.is_error and r.concurrent_trace is None and r.trace_validated is None
 
 
 def test_cegar_backend_agrees_with_explicit_on_safe_program():
@@ -186,7 +230,7 @@ def test_sweep_ts_stops_at_first_error():
     void worker() { assume(phase == 1); phase = 2; }
     void main() { async worker(); phase = 1; assume(phase == 2); assert(false); }
     """
-    results = sweep_ts(parse_core(src), max_bound=3, map_traces=False)
+    results = sweep_ts(parse_core(src), max_bound=3)
     assert [r.verdict for r in results] == ["safe", "error"]
 
 
@@ -237,7 +281,7 @@ def test_sweep_ts_continues_when_asked():
     void worker() { f = true; }
     void main() { async worker(); assert(!f); }
     """
-    results = sweep_ts(parse_core(src), max_bound=2, stop_on_error=False, map_traces=False)
+    results = sweep_ts(parse_core(src), max_bound=2, stop_on_error=False)
     assert len(results) == 3
     assert all(r.is_error for r in results)
 

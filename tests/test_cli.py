@@ -46,7 +46,8 @@ def test_check_error_prints_trace(src_file, capsys):
 
 
 def test_check_with_validation(src_file, capsys):
-    assert main(["check", src_file(BUGGY_SRC), "--validate"]) == EXIT_ERROR
+    """Every error is replayed: no flag asks for it."""
+    assert main(["check", src_file(BUGGY_SRC)]) == EXIT_ERROR
     assert "replayed against concurrent semantics: ok" in capsys.readouterr().out
 
 

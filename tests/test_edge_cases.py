@@ -22,7 +22,7 @@ def test_checking_is_deterministic():
     void w() { g = g + 1; }
     void main() { async w(); choice { g = 1; } or { g = 2; } assert(g < 5); }
     """
-    rs = [Kiss(max_ts=1, map_traces=False).check_assertions(parse_core(src)) for _ in range(3)]
+    rs = [Kiss(max_ts=1).check_assertions(parse_core(src)) for _ in range(3)]
     assert len({r.verdict for r in rs}) == 1
     assert len({r.backend_result.stats.states for r in rs}) == 1
 

@@ -45,7 +45,7 @@ def test_producer_consumer_broken_ordering():
         "buffer = 42;\n  full = true;", "full = true;\n  buffer = 42;"
     )
     assert check_concurrent(parse_core(src)).is_error
-    r = Kiss(max_ts=1, validate_traces=True).check_assertions(parse_core(src))
+    r = Kiss(max_ts=1).check_assertions(parse_core(src))
     assert r.is_error and r.trace_validated
 
 
@@ -140,7 +140,7 @@ def test_naive_lock_check_before_set_fails_mutex():
     }
     """
     assert check_concurrent(parse_core(src)).is_error
-    r = Kiss(max_ts=1, validate_traces=True).check_assertions(parse_core(src))
+    r = Kiss(max_ts=1).check_assertions(parse_core(src))
     assert r.is_error and r.trace_validated
 
 
@@ -265,7 +265,7 @@ def test_reference_counting_broken_toctou():
     # runs on the main thread, the releaser is parked and dispatched
     # mid-flight — the violating execution is balanced
     assert check_concurrent(parse_core(src)).is_error
-    r = Kiss(max_ts=1, validate_traces=True).check_assertions(parse_core(src))
+    r = Kiss(max_ts=1).check_assertions(parse_core(src))
     assert r.is_error and r.trace_validated
 
 

@@ -81,7 +81,7 @@ def test_lazy_k3_covers_every_corpus_file():
 @pytest.mark.parametrize("name", sorted(LAZY_K3))
 def test_corpus_verdicts_at_k3(name):
     source = (CORPUS / name).read_text()
-    r = _lazy(3, validate_traces=True).check_assertions(parse(source))
+    r = _lazy(3).check_assertions(parse(source))
     assert r.verdict == LAZY_K3[name], f"{name}: {r.summary()}"
     assert r.strategy == "lazy" and r.rounds == 3
     assert "[lazy K=3]" in r.summary()
@@ -97,7 +97,7 @@ def test_corpus_verdicts_at_k3(name):
 def test_k2_matches_kiss_verdicts(name, backend):
     source, max_ts, expected = PROGRAMS[name]
     assert Kiss(max_ts=max_ts, backend=backend).check_assertions(parse(source)).verdict == expected
-    r = _lazy(2, backend=backend, validate_traces=True).check_assertions(parse(source))
+    r = _lazy(2, backend=backend).check_assertions(parse(source))
     assert r.verdict == expected, r.summary()
     assert r.strategy == "lazy" and r.rounds == 2
     if backend == "explicit" and r.is_error:
@@ -113,7 +113,7 @@ def test_k2_matches_kiss_verdicts(name, backend):
 )
 def test_k1_verdicts(name, expected):
     source, _, _ = PROGRAMS[name]
-    r = _lazy(1, validate_traces=True).check_assertions(parse(source))
+    r = _lazy(1).check_assertions(parse(source))
     assert r.verdict == expected, r.summary()
     assert r.rounds == 1
     if r.is_error:
@@ -137,7 +137,7 @@ def test_three_switch_invisible_to_kiss():
 
 def test_three_switch_safe_at_k2_error_at_k3():
     assert _lazy(2).check_assertions(parse(THREE_SWITCH)).verdict == "safe"
-    r = _lazy(3, validate_traces=True).check_assertions(parse(THREE_SWITCH))
+    r = _lazy(3).check_assertions(parse(THREE_SWITCH))
     assert r.verdict == "error"
     assert r.trace_validated is True, "mapped counterexample must replay concurrently"
     # the reconstructed interleaving alternates between the two threads
@@ -155,7 +155,7 @@ def test_increment_chain_invisible_to_kiss_found_at_k3():
     more than KISS's two context switches; lazy K=3 finds it."""
     prog = parse(INCREMENT_CHAIN)
     assert Kiss(max_ts=1).check_assertions(prog).verdict == "safe"
-    r = _lazy(3, validate_traces=True).check_assertions(prog)
+    r = _lazy(3).check_assertions(prog)
     assert r.verdict == "error", r.summary()
     assert r.trace_validated is True
 
@@ -209,8 +209,7 @@ def test_empty_tile_is_sequential():
 def test_full_tile_matches_monolithic():
     t = LazyTransformer(rounds=3)
     t.transform(lower_program(parse(THREE_SWITCH)))
-    r = _lazy(3, cs_tile=list(t.cs_points),
-              validate_traces=True).check_assertions(parse(THREE_SWITCH))
+    r = _lazy(3, cs_tile=list(t.cs_points)).check_assertions(parse(THREE_SWITCH))
     assert r.verdict == "error" and r.trace_validated is True
 
 
@@ -305,5 +304,5 @@ def test_atomic_is_one_step():
     void w() { assert(x != 1); }
     void main() { async w(); atomic { x = 1; x = 2; } }
     """
-    r = _lazy(3, validate_traces=True).check_assertions(parse(src))
+    r = _lazy(3).check_assertions(parse(src))
     assert r.verdict == "safe", r.summary()

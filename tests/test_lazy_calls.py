@@ -14,6 +14,7 @@ import pytest
 from repro.concheck import check_concurrent
 from repro.core.checker import Kiss
 from repro.fuzz.gen import ProgramGenerator
+from repro.lazy import LazyTransformer
 from repro.lang import parse
 from repro.lang.ast import Block, Call, Var
 from repro.lang.lower import lower_program
@@ -114,7 +115,7 @@ def test_concurrent_ground_truth(name):
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_lazy_verdicts_match_the_pinned_ones(name, k):
     expected = LAZY_FINDS.get(name, PINNED[name])[k - 2]
-    r = Kiss(strategy="lazy", rounds=k, validate_traces=True).check_assertions(
+    r = Kiss(strategy="lazy", rounds=k).check_assertions(
         parse(PROGRAMS[name])
     )
     assert r.verdict == expected, r.summary()
@@ -125,13 +126,47 @@ def test_lazy_verdicts_match_the_pinned_ones(name, k):
 def test_result_writes_and_calls_are_mapped_steps():
     """A call's binding and its result write move data, so the mapped
     trace names both, in the order the schedule ran them."""
-    r = Kiss(strategy="lazy", rounds=2, validate_traces=True).check_assertions(
+    r = Kiss(strategy="lazy", rounds=2).check_assertions(
         parse(PROGRAMS["nested-calls"])
     )
     kinds = [s.kind for s in r.concurrent_trace.steps]
     assert kinds.count("call") == 2 and kinds.count("return") == 2, kinds
     assert kinds.index("call") < kinds.index("return")
     assert r.trace_validated is True
+
+
+@pytest.mark.parametrize("max_ts", [1, 2])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_kiss_errors_replay(name, max_ts):
+    """The Figure 4 mapper names calls and normal returns too, so an
+    argument or result that is a shared global replays at the right
+    point of the interleaving."""
+    r = Kiss(max_ts=max_ts).check_assertions(parse(PROGRAMS[name]))
+    if CONCURRENT[name] == "safe":
+        assert not r.is_error, r.summary()
+    if r.is_error:
+        assert r.trace_validated is True, r.concurrent_trace.format()
+
+
+def test_kiss_trace_names_calls_and_returns():
+    r = Kiss(max_ts=1).check_assertions(parse(PROGRAMS["nested-calls"]))
+    kinds = [s.kind for s in r.concurrent_trace.steps]
+    assert kinds.count("call") == kinds.count("return") == 2, kinds
+    assert r.trace_validated is True
+
+
+def test_a_callee_that_always_returns_gets_no_default_result():
+    """``twice`` and ``add`` return on every path, so neither call gets a
+    default-result write: no unreachable ``g = 0`` node, and two switch
+    points fewer than unconditional default writes would give."""
+    lt = LazyTransformer(rounds=2)
+    text = pretty_program(lt.transform(lower_program(parse(PROGRAMS["nested-calls"]))))
+    assert "g = 0;" not in text
+    assert len(lt.cs_points) == 7, lt.cs_points
+    # a callee that can fall off its end keeps its default write
+    lt = LazyTransformer(rounds=2)
+    text = pretty_program(lt.transform(lower_program(parse(PROGRAMS["fall-off-default"]))))
+    assert "__kiss_lz1_r = 0;" in text
 
 
 # -- differential: a worker body moved into a helper keeps its verdict -------------
@@ -159,8 +194,8 @@ def test_wrapped_workers_keep_their_verdicts():
         wrapped = _wrap_workers(gp.program)
         assert any(n.endswith("_body") for n in wrapped.functions) or gp.n_forks == 0
         for k in (2, 3):
-            plain = Kiss(strategy="lazy", rounds=k, map_traces=False).check_assertions(gp.program)
-            r = Kiss(strategy="lazy", rounds=k, validate_traces=True).check_assertions(wrapped)
+            plain = Kiss(strategy="lazy", rounds=k).check_assertions(gp.program)
+            r = Kiss(strategy="lazy", rounds=k).check_assertions(wrapped)
             assert r.verdict == plain.verdict, f"seed {gp.seed} K={k}: {r.summary()}"
             if r.is_error:
                 assert r.trace_validated is True, f"seed {gp.seed} K={k}"

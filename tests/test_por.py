@@ -110,7 +110,7 @@ def test_driver_corpus_por_parity(spec, fld):
         return kiss.check_race(prog, target)
 
     off, _ = assert_por_parity(
-        lambda por: Kiss(max_ts=0, max_states=budget, map_traces=False, por=por),
+        lambda por: Kiss(max_ts=0, max_states=budget, por=por),
         check, f"{spec.name}/{fld.name}")
     if fld.kind is FieldKind.CLEAN:
         assert off.verdict == "safe"
@@ -124,8 +124,7 @@ def test_driver_corpus_por_parity(spec, fld):
 def test_fuzz_programs_por_parity(strategy, rounds):
     for g in ProgramGenerator().generate_batch(50, seed=0):
         assert_por_parity(
-            lambda por: Kiss(max_ts=g.n_forks, max_states=20_000,
-                             map_traces=False, strategy=strategy,
+            lambda por: Kiss(max_ts=g.n_forks, max_states=20_000, strategy=strategy,
                              rounds=rounds, por=por),
             lambda kiss: kiss.check_assertions(g.program),
             f"seed {g.seed} [{strategy}]")
@@ -138,7 +137,7 @@ def test_por_prunes_on_some_fuzz_programs():
     total = 0
     for g in ProgramGenerator().generate_batch(50, seed=0):
         with obs.observing(obs.Recorder()) as rec:
-            Kiss(max_ts=g.n_forks, max_states=20_000, map_traces=False,
+            Kiss(max_ts=g.n_forks, max_states=20_000,
                  por=True).check_assertions(g.program)
             total += rec.metrics()["counters"].get("por_schedule_points_pruned", 0)
     assert total > 0

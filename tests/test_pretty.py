@@ -149,9 +149,9 @@ def test_roundtrip_random_programs_preserve_verdicts():
             "void main() { async worker(); " + " ".join(main) + " }"
         )
         p1 = parse_core(src)
-        r1 = Kiss(max_ts=1, map_traces=False).check_assertions(p1)
+        r1 = Kiss(max_ts=1).check_assertions(p1)
         p2 = lower_program(parse(pretty_program(p1)))
-        r2 = Kiss(max_ts=1, map_traces=False).check_assertions(p2)
+        r2 = Kiss(max_ts=1).check_assertions(p2)
         assert r1.verdict == r2.verdict, src
 
     prop()

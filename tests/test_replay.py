@@ -100,9 +100,23 @@ def test_replay_race_whose_access_blocks(src, max_ts):
     """Figure 5 records or checks an access *before* it runs, so a race
     is real even when the access itself would block; the replayer only
     has to reach it."""
-    r = Kiss(max_ts=max_ts, validate_traces=True).check_race(
+    r = Kiss(max_ts=max_ts).check_race(
         parse_core(src), RaceTarget.global_var("b")
     )
+    assert r.is_race, r.summary()
+    assert r.trace_validated is True, r.concurrent_trace.format()
+
+
+@pytest.mark.parametrize("src", [
+    # main reads g as a call argument
+    "int g; void use(int p) { skip; } void w() { g = 1; } void main() { async w(); use(g); }",
+    # main writes g as a call's result
+    "int g; int one() { return 1; } void w() { g = 2; } void main() { async w(); g = one(); }",
+])
+def test_replay_race_whose_access_is_a_call(src):
+    """An access on a call statement is reached at the call node itself,
+    before the call is taken."""
+    r = Kiss().check_race(parse_core(src), RaceTarget.global_var("g"))
     assert r.is_race, r.summary()
     assert r.trace_validated is True, r.concurrent_trace.format()
 

@@ -38,7 +38,7 @@ def test_three_switch_safe_at_k2():
 
 
 def test_three_switch_found_at_k3_with_replaying_trace():
-    r = _rounds(3, validate_traces=True).check_assertions(parse(THREE_SWITCH))
+    r = _rounds(3).check_assertions(parse(THREE_SWITCH))
     assert r.verdict == "error", r.summary()
     assert r.trace_validated is True, "mapped counterexample must replay concurrently"
     tids = [step.tid for step in r.concurrent_trace.steps]

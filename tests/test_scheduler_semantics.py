@@ -13,7 +13,7 @@ from repro.lang import parse_core
 
 
 def check(src, max_ts, **kw):
-    return Kiss(max_ts=max_ts, map_traces=False, **kw).check_assertions(parse_core(src))
+    return Kiss(max_ts=max_ts, **kw).check_assertions(parse_core(src))
 
 
 def test_dispatch_order_is_nondeterministic():

@@ -156,6 +156,34 @@ def test_journaled_retired_strategy_job_settles_on_recovery(tmp_path):
     assert after.incomplete == 0 and after.done == 1
 
 
+def test_journaled_job_with_retired_options_is_checked_on_recovery(tmp_path):
+    """Older journals record options ``Kiss()`` has since retired (every
+    Table 1 job carried one): recovery drops them and checks the job,
+    instead of crashing it into ``resource-bound``."""
+    from repro.campaign import CheckJob, cache_key
+    from repro.campaign.journal import JobJournal, replay
+
+    jpath = str(tmp_path / "j.jsonl")
+    job = CheckJob(job_id="t/0", driver="t", source=RACY, target="EXT.a",
+                   config={"max_ts": 0, "inline": True, "fuzz_race": "g"})
+    JobJournal(jpath).admit(job, cache_key(job), tenant="t", origin="serve")
+    assert replay(jpath).jobs[0].config == {"max_ts": 0, "fuzz_race": "g"}
+    svc = CheckService(ServeConfig(jobs=1, cache_dir=None, journal_path=jpath,
+                                   resume=True), start_engine=False)
+    try:
+        assert svc.counts["recovered"] == 1
+        for _ in range(8):
+            svc.pump_once()
+        doc = svc.get("t/0")
+        assert doc is not None and doc["state"] == "done", doc
+        assert doc["result"]["verdict"] == "error"
+        done = svc.events_since("t/0", 0)[0][-1]
+        assert done["event"] == "done" and done["trace_validated"] is True
+    finally:
+        svc.stop()
+    assert replay(jpath).incomplete == 0
+
+
 def test_unparsable_program_still_yields_a_verdict(service):
     final = _check(service, {"program": "this is not the language"})
     assert final["result"]["verdict"] in ("error", "resource-bound")

@@ -108,27 +108,27 @@ def plan_of(n):
 
 def test_aggregate_error_wins_and_lowest_tile_is_the_witness():
     rs = [result(0, "safe"), result(1, "error"), result(2, "error")]
-    rep = aggregate(THREE_SWITCH, plan_of(3), rs, validate=False)
+    rep = aggregate(THREE_SWITCH, plan_of(3), rs)
     assert rep.verdict == "error" and rep.witness_tile == 1
     assert rep.is_error and "witness tile 1" in rep.summary()
 
 
 def test_aggregate_error_beats_resource_bound():
     rs = [result(0, "resource-bound", "timeout: 1s"), result(1, "error")]
-    rep = aggregate(THREE_SWITCH, plan_of(2), rs, validate=False)
+    rep = aggregate(THREE_SWITCH, plan_of(2), rs)
     assert rep.verdict == "error" and rep.witness_tile == 1
 
 
 def test_aggregate_all_safe_is_safe_at_the_tiling_bound():
     rep = aggregate(THREE_SWITCH, plan_of(2),
-                    [result(0, "safe"), result(1, "safe")], validate=False)
+                    [result(0, "safe"), result(1, "safe")])
     assert rep.verdict == "safe" and not rep.is_error
     assert "tiling-bounded" in rep.summary()
 
 
 def test_aggregate_leftover_resource_bound_is_inconclusive():
     rs = [result(0, "safe"), result(1, "resource-bound", "interrupted: SIGINT")]
-    rep = aggregate(THREE_SWITCH, plan_of(2), rs, validate=False)
+    rep = aggregate(THREE_SWITCH, plan_of(2), rs)
     assert rep.verdict == "resource-bound"
     assert "inconclusive" in rep.summary()
 
@@ -171,8 +171,7 @@ def test_sparse_tiling_only_weakens_safely():
     if report.is_error:
         assert report.trace_validated is True
     tile = plan_tiles(THREE_SWITCH, tiles=2, rounds=3, seed=0).tiles[0]
-    r = Kiss(strategy="lazy", rounds=3, cs_tile=tile,
-             validate_traces=True).check_assertions(parse(THREE_SWITCH))
+    r = Kiss(strategy="lazy", rounds=3, cs_tile=tile).check_assertions(parse(THREE_SWITCH))
     if r.is_error:
         assert r.trace_validated is True
 
@@ -268,7 +267,7 @@ def test_swarm_jobs_ride_the_ordinary_scheduler(tmp_path):
     sched = CampaignScheduler(CampaignConfig(cache_dir=str(tmp_path / "c")))
     results = sched.run(jobs)
     assert [r.job_id for r in results] == [j.job_id for j in jobs]
-    rep = aggregate(THREE_SWITCH, plan, results, validate=False)
+    rep = aggregate(THREE_SWITCH, plan, results)
     assert isinstance(rep, SwarmReport)
     assert rep.verdict == "safe", "K=2 cannot reach the 3-switch error"
     again = CampaignScheduler(CampaignConfig(cache_dir=str(tmp_path / "c")))

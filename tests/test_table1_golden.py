@@ -8,7 +8,9 @@ race pipeline exactly as a campaign worker does (``corpus_jobs`` config,
 explicit backend), and its verdict, the number of states explored and
 the number of transitions taken must equal ``tests/golden/table1.json``.
 A change to the explicit checker's state representation, freezing or
-cloning that moves any of these fails here.
+cloning that moves any of these fails here.  Every fenced ``error`` row
+must also replay under the concurrent semantics; the replay verdict is
+asserted, not stored, so the golden file does not carry it.
 
 The test only reads the golden file.  When a change moves a count on
 purpose, regenerate the file explicitly and say why in the change:
@@ -36,8 +38,9 @@ SUBSET = {
 }
 
 
-def fence_rows():
-    """One row per fenced job, in ``DRIVER_SPECS`` order."""
+def fence_rows(replays=None):
+    """One row per fenced job, in ``DRIVER_SPECS`` order.  ``replays``,
+    when given, collects ``(job id, trace_validated)`` per error row."""
     specs = [s for s in DRIVER_SPECS if s.name in SUBSET]
     fields = {name: wanted for name, wanted in SUBSET.items() if wanted is not None}
     rows = []
@@ -48,6 +51,8 @@ def fence_rows():
             prog = programs[job.source] = parse(job.source)
         result = Kiss(**job.kiss_kwargs()).check_race(prog, job.race_target())
         stats = result.backend_result.stats
+        if replays is not None and result.is_error:
+            replays.append((job.job_id, result.trace_validated))
         rows.append({
             "job": job.job_id,
             "verdict": result.verdict,
@@ -66,7 +71,9 @@ def test_every_subset_driver_is_fenced():
 def test_table1_rows_match_the_golden_file():
     golden = json.loads(GOLDEN.read_text())
     assert golden["backend"] == "explicit"
-    assert fence_rows() == golden["rows"]
+    replays = []
+    assert fence_rows(replays) == golden["rows"]
+    assert replays and all(ok is True for _, ok in replays), replays
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ def program_strategy(draw):
 @given(program_strategy(), st.integers(min_value=0, max_value=2))
 def test_kiss_never_reports_false_errors(src, max_ts):
     prog = parse_core(src)
-    kiss = Kiss(max_ts=max_ts, max_states=20_000, map_traces=False)
+    kiss = Kiss(max_ts=max_ts, max_states=20_000)
     r = kiss.check_assertions(prog)
     if r.is_error:
         ground = check_concurrent(parse_core(src), max_states=100_000)
@@ -76,7 +76,7 @@ def test_kiss_covers_two_context_switches(src):
     prog = parse_core(src)
     ground = check_concurrent(prog, max_states=100_000, context_bound=2)
     if ground.is_error and ground.violation_kind == "assert":
-        r = Kiss(max_ts=1, max_states=200_000, map_traces=False).check_assertions(
+        r = Kiss(max_ts=1, max_states=200_000).check_assertions(
             parse_core(src)
         )
         assert r.is_error, f"KISS missed a 2-switch error in:\n{src}"
@@ -91,7 +91,7 @@ def test_safe_under_kiss_when_concurrent_safe(src):
     ground = check_concurrent(prog, max_states=100_000)
     if ground.is_safe:
         for max_ts in (0, 1):
-            r = Kiss(max_ts=max_ts, max_states=200_000, map_traces=False).check_assertions(
+            r = Kiss(max_ts=max_ts, max_states=200_000).check_assertions(
                 parse_core(src)
             )
             assert not r.is_error, f"KISS found an error in a safe program:\n{src}"
@@ -103,7 +103,7 @@ def test_every_kiss_error_trace_replays(src, max_ts):
     """End-to-end completeness: not just *some* concurrent error exists —
     the specific mapped trace must replay under concurrent semantics."""
     prog = parse_core(src)
-    kiss = Kiss(max_ts=max_ts, max_states=20_000, validate_traces=True)
+    kiss = Kiss(max_ts=max_ts, max_states=20_000)
     r = kiss.check_assertions(prog)
     if r.is_error:
         assert r.trace_validated is True, f"mapped trace did not replay for:\n{src}"
@@ -129,7 +129,7 @@ def test_theorem1_both_directions(src):
     """Theorem 1 as stated: with ts effectively unbounded (>= #asyncs),
     Check(s) goes wrong iff some *balanced* execution of s goes wrong."""
     balanced = check_concurrent(parse_core(src), max_states=200_000, balanced_only=True)
-    kiss = Kiss(max_ts=2, max_states=400_000, map_traces=False).check_assertions(
+    kiss = Kiss(max_ts=2, max_states=400_000).check_assertions(
         parse_core(src)
     )
     if balanced.exhausted or kiss.exhausted:
